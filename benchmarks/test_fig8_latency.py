@@ -5,11 +5,12 @@ grows; REDO's bandwidth appetite makes it degrade at least as fast as
 ATOM-OPT, which holds the advantage at the paper's 10x operating point
 and beyond.
 
-Known fidelity limit (documented in EXPERIMENTS.md): the paper's 1x
-crossover — REDO ahead at DRAM-like latency — does not reproduce here
-because this trace-driven simulator reaches ~100x the absolute
-transaction rate of the paper's full-system setup, so at 1x both designs
-are already memory-bandwidth-bound and the ratio reflects traffic volume.
+Known fidelity limit (see the ROADMAP's paper-fidelity table): the
+paper's 1x crossover — REDO ahead at DRAM-like latency — does not
+reproduce here because this trace-driven simulator reaches ~100x the
+absolute transaction rate of the paper's full-system setup, so at 1x
+both designs are already memory-bandwidth-bound and the ratio reflects
+traffic volume.
 """
 
 from bench_util import run_once

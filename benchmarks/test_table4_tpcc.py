@@ -5,10 +5,11 @@ adds little on top (+60%; source logging is rare in TPC-C), and the
 gains exceed those of the micro-benchmarks because TPC-C's update
 frequency is lower so bandwidth matters less.
 
-Known fidelity note (EXPERIMENTS.md): in this reproduction REDO lands
-slightly above ATOM for TPC-C rather than slightly below — TPC-C's
-scattered single-word updates make word-granular redo entries cheaper
-than line-granular undo images at this simulator's transaction weight.
+Known fidelity note (see the ROADMAP's paper-fidelity table): in this
+reproduction REDO lands slightly above ATOM for TPC-C rather than
+slightly below — TPC-C's scattered single-word updates make
+word-granular redo entries cheaper than line-granular undo images at
+this simulator's transaction weight.
 """
 
 from bench_util import run_once

@@ -17,8 +17,8 @@ Public API highlights::
     system.run()
     print(system.result().txn_throughput)
 
-See README.md for the architecture overview, DESIGN.md for the system
-inventory, and EXPERIMENTS.md for paper-versus-measured results.
+See README.md for the architecture overview and the paper-fidelity
+table in ROADMAP.md for paper-versus-measured results.
 """
 
 from repro.config import (

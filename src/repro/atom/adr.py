@@ -7,7 +7,7 @@ needs: per AUS the bucket bit vector and the current bucket / current
 record registers.  (The paper counts ~two cache lines; we additionally
 flush the per-AUS bucket bit vectors — still comfortably inside ADR's
 24-line budget — because recovery must attribute valid buckets to
-updates; see DESIGN.md.)
+updates.)
 
 The flushed image lands in the ADR block at the head of the controller's
 log region, so post-crash recovery operates on the durable image alone.

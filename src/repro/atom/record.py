@@ -17,8 +17,8 @@ Header line layout (64 bytes)::
     bytes 60..63   u32 record sequence  }  and tear/corruption detection
 
 The owner/sequence stamp is this reproduction's use of the header's
-reserved bits (see DESIGN.md): recovery orders an update's records by
-sequence number and rejects stale headers left in reallocated buckets.
+reserved bits: recovery orders an update's records by sequence number
+and rejects stale headers left in reallocated buckets.
 
 The **checksum** (CRC-32 over the line with the checksum field zeroed,
 truncated to 16 bits) is what makes header validation sound under

@@ -21,8 +21,7 @@ Functional crash semantics: committed-but-unapplied transactions are
 redo-applied by :meth:`RedoManager.recover`; uncommitted ones vanish.
 Byte-exact log parsing is implemented for the undo path (the paper's
 contribution); for this comparator the durable commit/apply bookkeeping
-is keyed off the same persist events the hardware would use (see
-DESIGN.md's fidelity notes).
+is keyed off the same persist events the hardware would use.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ interleaving (``Topology.l2_home_tile``).  The directory tracks, per
 resident line, the exclusive owner (an L1 holding M/E) or the sharer set,
 plus a dirty flag for data surrendered by downgraded/written-back owners.
 
-Protocol modelling choice (documented in DESIGN.md): each transaction is
-*serialized per line* with a busy/waiter queue, and directory metadata is
-updated synchronously while message latencies are charged onto the
+Protocol modelling choice: each transaction is *serialized per line*
+with a busy/waiter queue, and directory metadata is updated
+synchronously while message latencies are charged onto the
 transaction's completion time.  This keeps the protocol race-free without
 modelling transient states, at the cost of bounded timing skew — adequate
 for the queueing-level fidelity this reproduction targets.

@@ -17,7 +17,7 @@ paper's results hinge on, not cycle-accurate pipelines:
 
 Bounded-skew execution: the core runs ops inline on a local clock and
 re-synchronizes with the global event queue every
-``CoreConfig.max_inline_cycles`` (see DESIGN.md).
+``CoreConfig.max_inline_cycles``.
 
 Transaction-side bookkeeping done here (the LogI module's core half):
 

@@ -138,6 +138,29 @@ class Engine:
         heapq.heappush(self._queue, (event.time, seq, fn, event))
         return event
 
+    def rearm(self, event: Event, time: int) -> None:
+        """Queue an already-dispatched ``event`` again at ``time`` (>= now).
+
+        The event keeps its original insertion sequence number, so at
+        ``time`` it dispatches exactly where a fresh :meth:`at` call made
+        at its original insertion point would have: after every event
+        with an earlier time, and among same-time events in original
+        insertion order.  This is what lets one run stop at a series of
+        crash cycles (see ``System.pause_at``) at exactly the dispatch
+        position an independent run crashing at each of them would.
+        """
+        if event._engine is not None or event.cancelled:
+            raise SimulationError(f"cannot re-arm {event!r}: it is still "
+                                  f"queued or was cancelled")
+        if time < self.now:
+            raise SimulationError(
+                f"cannot re-arm event at {time}, now is {self.now}"
+            )
+        event.time = int(time)
+        event._engine = self
+        self._live += 1
+        heapq.heappush(self._queue, (event.time, event.seq, event.fn, event))
+
     def after(self, delay: int, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` ``delay`` cycles from now (delay >= 0)."""
         if delay < 0:

@@ -18,10 +18,12 @@ Three layers use it:
 * the benchmark suite (session-scoped ``campaign`` fixture).
 
 The **crash sweep** turns the sampled hypothesis crash tests into an
-exhaustive grid: every (design × workload × crash-cycle × seed) point
+exhaustive grid: every (design × workload × seed × crash-cycle) point
 runs a scaled-down machine, cuts power, recovers, and differential-
 checks the durable image against the golden model replayed over exactly
-the committed transactions.
+the committed transactions.  The points of one run share its simulated
+prefix: the run is simulated once and a forked child crashes it at each
+point (:func:`execute_crash_point`).
 """
 
 from __future__ import annotations
@@ -837,9 +839,18 @@ class Campaign:
     # -- crash sweep ----------------------------------------------------------
 
     def run_crash(self, specs: Sequence["CrashSpec"]) -> list["CrashOutcome"]:
-        """Differential-check a batch of crash points (cached, pooled)."""
-        return self._map(list(specs), _crash_worker,
-                         _crash_outcome_from_dict, "crash")
+        """Differential-check a batch of crash points (cached, pooled).
+
+        Consecutive points of one run share its simulated prefix (see
+        :func:`execute_crash_point`), so submit each run's points
+        together in ascending crash-cycle order, as :func:`crash_grid`
+        does.
+        """
+        try:
+            return self._map(list(specs), _crash_worker,
+                             _crash_outcome_from_dict, "crash")
+        finally:
+            _drop_live_run()
 
     # -- litmus points --------------------------------------------------------
 
@@ -922,36 +933,184 @@ def _crash_outcome_from_dict(payload: dict) -> CrashOutcome:
     )
 
 
+class _LiveRun:
+    """The machine of one crash-sweep run, standing at a crash cycle.
+
+    Built by :func:`~repro.harness.testbed.start_crash_run` (the path
+    ``crash_run`` takes), with a pause scheduled where ``crash_run``
+    schedules its crash, so the pause takes that crash's insertion
+    sequence number.  Re-arming the pause keeps the number
+    (``Engine.rearm``): at every later crash cycle the run stops at
+    exactly the dispatch position a fresh run crashing there would, and
+    cutting power on the paused machine reproduces that run's crash bit
+    for bit.
+    """
+
+    __slots__ = ("key", "system", "workload", "pause")
+
+    def __init__(self, spec: CrashSpec):
+        from repro.harness.testbed import start_crash_run
+
+        #: Every field of the run's specs but the crash cycle.
+        self.key = replace(spec, crash_cycle=0)
+        self.system, self.workload = start_crash_run(
+            spec.workload, spec.design, seed=spec.seed,
+            entry_bytes=spec.entry_bytes, threads=spec.threads,
+            txns_per_thread=spec.txns_per_thread,
+            initial_items=spec.initial_items, num_cores=spec.num_cores,
+            **spec.workload_kw,
+        )
+        self.pause = None
+
+    def serves(self, spec: CrashSpec) -> bool:
+        """Whether ``spec``'s crash state lies at or ahead of this one.
+
+        A paused machine serves its own cycle and every later one.  A
+        run that ended before its pause (all threads finished, or the
+        cycle limit) serves only cycles strictly past its end: a crash
+        scheduled exactly at the end cycle fires before the last
+        thread's finishing event.
+        """
+        if replace(spec, crash_cycle=0) != self.key:
+            return False
+        now = self.system.engine.now
+        if self.system.paused:
+            return spec.crash_cycle >= now
+        return spec.crash_cycle > now
+
+    def advance(self, cycle: int) -> None:
+        """Run on to ``cycle`` (a no-op at it or past the run's end)."""
+        from repro.harness.testbed import CRASH_RUN_MAX_CYCLES
+
+        system = self.system
+        if self.pause is None:
+            self.pause = system.pause_at(cycle)
+        elif system.paused and cycle > system.engine.now:
+            system.engine.rearm(self.pause, cycle)
+        else:
+            return
+        system.run(max_cycles=CRASH_RUN_MAX_CYCLES)
+
+
+#: This process's live crash-sweep machine (see execute_crash_point).
+#: Per process, not per campaign: pool workers call the executor by
+#: reference, one point at a time.  No outcome depends on it — a point
+#: the machine cannot serve exactly rebuilds it.
+_live: _LiveRun | None = None
+
+
+def _drop_live_run() -> None:
+    """Forget this process's live machine and recycle its image."""
+    global _live
+    if _live is not None:
+        _live.system.image.recycle()
+        _live = None
+
+
 def execute_crash_point(spec: CrashSpec) -> CrashOutcome:
-    """Run one crash point through the shared testbed path and check it.
+    """Run one crash point and differential-check it.
+
+    Each process keeps one live machine (:class:`_LiveRun`).  When
+    ``spec`` differs from that machine's run only in a crash cycle at
+    or past where the machine stands, the machine advances to the cycle
+    instead of re-simulating the prefix from cycle 0; otherwise it is
+    rebuilt.  A forked child then cuts power, recovers and checks
+    (:func:`_fork_crash_point`) while the parent keeps the machine for
+    the next point.  Points of one run submitted in ascending cycle
+    order therefore simulate the run once.
 
     A failed differential check (or a modelled-hardware deadlock) is an
     *outcome*, not an infrastructure error — it is recorded with
     ``ok=False`` so a sweep reports every divergence instead of dying on
     the first one.
     """
-    from repro.harness.testbed import crash_run
+    global _live
+    if _live is not None and not _live.serves(spec):
+        _drop_live_run()
+    try:
+        if _live is None:
+            _live = _LiveRun(spec)
+        _live.advance(spec.crash_cycle)
+    except (WorkloadError, SimulationError) as exc:
+        _drop_live_run()
+        return CrashOutcome(spec=spec, ok=False,
+                            error=f"{type(exc).__name__}: {exc}")
+    except BaseException:
+        _drop_live_run()
+        raise
+    return _fork_crash_point(spec, _live.system, _live.workload)
+
+
+def _crash_point_outcome(spec: CrashSpec, system, workload) -> CrashOutcome:
+    """Cut power on a machine standing at ``spec``'s crash, recover, check."""
+    from repro.harness.testbed import finish_crash_run
 
     try:
-        system, workload, report = crash_run(
-            spec.workload, spec.design, spec.crash_cycle, seed=spec.seed,
-            entry_bytes=spec.entry_bytes, threads=spec.threads,
-            txns_per_thread=spec.txns_per_thread,
-            initial_items=spec.initial_items, num_cores=spec.num_cores,
-            **spec.workload_kw,
-        )
+        report = finish_crash_run(system, workload)
     except (WorkloadError, SimulationError) as exc:
         return CrashOutcome(spec=spec, ok=False,
                             error=f"{type(exc).__name__}: {exc}")
     cost = getattr(report, "cost", None)
-    outcome = CrashOutcome(
+    return CrashOutcome(
         spec=spec, ok=True, commits=workload.commits,
         updates_rolled_back=getattr(report, "updates_rolled_back", 0),
         recovery_cost=cost.to_dict() if cost is not None else {},
     )
-    # The system was private to this point; recycle the image buffers.
-    system.image.recycle()
-    return outcome
+
+
+def _fork_crash_point(spec: CrashSpec, system, workload) -> CrashOutcome:
+    """Check ``spec``'s crash in a forked child; the parent's machine lives on.
+
+    The child pipes back its pickled :class:`CrashOutcome`.  A child
+    that raises, or dies without a complete reply, ends the point as an
+    error naming the spec — never as a pass, and never a hang: the
+    reply pipe reaches end-of-file the moment the child is gone.
+    """
+    read_fd, write_fd = os.pipe()
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            pid = os.fork()
+            if pid == 0:
+                _crash_point_child(spec, system, workload, write_fd)
+        finally:
+            os.close(write_fd)
+        reply = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    try:
+        return pickle.loads(reply)
+    except Exception:  # noqa: BLE001 — empty or torn reply
+        code = os.waitstatus_to_exitcode(status)
+        how = (f"killed by signal {-code}" if code < 0
+               else f"exit code {code}")
+        return CrashOutcome(
+            spec=spec, ok=False,
+            error=f"crash-point child died without replying ({how}) on "
+                  f"[{describe_spec(spec, kind='crash')}]",
+        )
+
+
+def _crash_point_child(spec: CrashSpec, system, workload, write_fd: int):
+    """Body of the forked child: check the crash, reply, ``os._exit``.
+
+    The child never returns and leaves only through ``os._exit``: stdio
+    and telemetry buffers, atexit hooks and pool handles it inherited
+    belong to the parent.
+    """
+    try:
+        try:
+            outcome = _crash_point_outcome(spec, system, workload)
+        except BaseException as exc:  # noqa: BLE001 — the reply reports it
+            outcome = CrashOutcome(
+                spec=spec, ok=False,
+                error=f"crash-point child failed on "
+                      f"[{describe_spec(spec, kind='crash')}]: "
+                      f"{type(exc).__name__}: {exc}\n"
+                      f"{traceback.format_exc()}",
+            )
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)
 
 
 #: Designs with a recovery story (the crash sweep's default axis).
@@ -965,11 +1124,15 @@ def crash_grid(
     crash_cycles: Iterable[int] = range(2_000, 30_001, 4_000),
     seeds: Iterable[int] = (7,),
 ) -> list[CrashSpec]:
-    """Enumerate the (design × workload × crash-cycle × seed) grid."""
+    """Enumerate the (design × workload × seed × crash-cycle) grid.
+
+    The crash cycle varies fastest, so each run's points are adjacent
+    and share its simulated prefix (see :func:`execute_crash_point`).
+    """
     return [
         CrashSpec(design=d, workload=w, crash_cycle=c, seed=s)
-        for d, w, c, s in itertools.product(
-            designs, workloads, crash_cycles, seeds
+        for d, w, s, c in itertools.product(
+            designs, workloads, seeds, crash_cycles
         )
     ]
 

@@ -4,8 +4,9 @@ Both the unit-test suite (``tests/helpers.py``) and the benchmark
 fixtures (``benchmarks/conftest.py``) import these helpers, so the
 machine a test exercises and the machine a benchmark smoke-checks can
 never silently drift apart.  The campaign layer's crash sweep
-(:mod:`repro.harness.campaign`) drives :func:`crash_run` as well — the
-same code path the crash-matrix tests use.
+(:mod:`repro.harness.campaign`) builds and checks its machines with the
+two halves of :func:`crash_run` (:func:`start_crash_run`,
+:func:`finish_crash_run`) — the code path the crash-matrix tests use.
 """
 
 from __future__ import annotations
@@ -70,19 +71,79 @@ def run_workload_to_completion(system, workload, max_cycles=50_000_000):
     return system.run(max_cycles=max_cycles)
 
 
+#: Cycle limit of a crash run (a crash cycle past it cuts power there).
+CRASH_RUN_MAX_CYCLES = 30_000_000
+
+
+def start_crash_run(name: str, design: Design, *, entry_bytes: int = 512,
+                    seed: int = 7, threads: int = 4, txns_per_thread: int = 8,
+                    initial_items: int = 12, num_cores: int = 4,
+                    injector=None, instrument=None,
+                    line_checksums: bool = False, **kw):
+    """Build a crash run's machine and workload and start its threads.
+
+    Returns ``(system, workload)``, not yet run.  The crash
+    (``System.crash_at``) or pause (``System.pause_at``) the caller
+    schedules next takes the same insertion sequence number in every
+    run of these arguments, which is what lets a paused run reproduce
+    any crash point of it.
+    """
+    from repro.workloads import make_workload
+
+    system = build_system(design=design, num_cores=num_cores,
+                          line_checksums=line_checksums)
+    if instrument is not None:
+        instrument(system)
+    if injector is not None:
+        injector.install(system)
+    workload = make_workload(
+        name, system, entry_bytes=entry_bytes,
+        txns_per_thread=txns_per_thread, initial_items=initial_items,
+        threads=threads, seed=seed, **kw,
+    )
+    workload.setup()
+    system.start_threads(workload.threads())
+    return system, workload
+
+
+def finish_crash_run(system, workload, *, verify: bool = True,
+                     storm_seed: int | None = None):
+    """Cut power (unless a crash already did), recover, differential-check.
+
+    Returns the recovery report; raises
+    :class:`~repro.common.errors.WorkloadError` on any divergence from
+    the golden model replayed over exactly the committed transactions.
+    """
+    if not system.crashed:
+        # Either no crash was scheduled, the run stopped at a pause, or
+        # every thread finished before the scheduled cycle: cut power
+        # now.
+        system.crash()
+    if storm_seed is not None:
+        from repro.faults.storm import storm_recover
+
+        storm = storm_recover(system, seed=storm_seed)
+        report = storm.report
+        report.storm = storm
+    else:
+        report = system.recover()
+        report.storm = None
+    if verify:
+        workload.verify_durable()
+    return report
+
+
 def crash_run(name: str, design: Design, crash_cycle: int | None, *,
-              entry_bytes: int = 512, seed: int = 7, threads: int = 4,
-              txns_per_thread: int = 8, initial_items: int = 12,
-              num_cores: int = 4, max_cycles: int = 30_000_000,
-              injector=None, verify: bool = True, instrument=None,
-              line_checksums: bool = False, storm_seed: int | None = None,
-              **kw):
+              max_cycles: int = CRASH_RUN_MAX_CYCLES, verify: bool = True,
+              storm_seed: int | None = None, **kw):
     """Run a workload, crash it, recover, and differential-check.
 
-    Builds a scaled-down machine, runs ``threads`` worker threads, cuts
+    Builds a scaled-down machine (:func:`start_crash_run`, which takes
+    the machine and workload keywords), runs its worker threads, cuts
     power at ``crash_cycle`` (or after completion when ``None``), runs
     recovery, and verifies the durable image against the golden model
-    replayed over exactly the committed transactions.  Raises
+    replayed over exactly the committed transactions
+    (:func:`finish_crash_run`).  Raises
     :class:`~repro.common.errors.WorkloadError` on any divergence.
 
     ``injector`` (a :class:`repro.faults.models.FaultInjector`) turns
@@ -102,37 +163,10 @@ def crash_run(name: str, design: Design, crash_cycle: int | None, *,
 
     Returns ``(system, workload, recovery_report)``.
     """
-    from repro.workloads import make_workload
-
-    system = build_system(design=design, num_cores=num_cores,
-                          line_checksums=line_checksums)
-    if instrument is not None:
-        instrument(system)
-    if injector is not None:
-        injector.install(system)
-    workload = make_workload(
-        name, system, entry_bytes=entry_bytes,
-        txns_per_thread=txns_per_thread, initial_items=initial_items,
-        threads=threads, seed=seed, **kw,
-    )
-    workload.setup()
-    system.start_threads(workload.threads())
+    system, workload = start_crash_run(name, design, **kw)
     if crash_cycle is not None:
         system.crash_at(crash_cycle)
     system.run(max_cycles=max_cycles)
-    if not system.crashed:
-        # Either no crash was requested, or every thread finished before
-        # the scheduled cycle: cut power now (nothing rolls back).
-        system.crash()
-    if storm_seed is not None:
-        from repro.faults.storm import storm_recover
-
-        storm = storm_recover(system, seed=storm_seed)
-        report = storm.report
-        report.storm = storm
-    else:
-        report = system.recover()
-        report.storm = None
-    if verify:
-        workload.verify_durable()
+    report = finish_crash_run(system, workload, verify=verify,
+                              storm_seed=storm_seed)
     return system, workload, report

@@ -30,7 +30,7 @@ from repro.common.units import CACHE_LINE_BYTES, throughput_per_second
 from repro.config import Design, SystemConfig
 from repro.cpu.core import Core
 from repro.cpu.lockmgr import LockManager
-from repro.engine import Engine
+from repro.engine import Engine, Event
 from repro.mem.controller import MemoryController
 from repro.mem.image import MemoryImage
 from repro.mem.layout import AddressLayout
@@ -159,13 +159,15 @@ class System:
         #: the top of crash(), before any state mutates).
         self.crash_windows: list[str] = []
         self._crashed = False
+        #: Set when a pause event (see pause_at) stopped the last run().
+        self.paused = False
         self._done_cores: set[int] = set()
         #: Commit broadcasts in flight: core -> {info, cleared, total}.
         #: The durability point of an undo-logged transaction is the
         #: *first* controller truncating its log (rollback becomes
         #: impossible); a crash mid-broadcast completes the remaining
         #: truncations inside the ADR window so truncation stays
-        #: all-or-nothing across controllers (see DESIGN.md).
+        #: all-or-nothing across controllers.
         self._commit_intents: dict[int, dict] = {}
         #: Fired as fn(core_id, info) on every transaction commit.
         self.on_commit: Callable[[int, object], None] | None = None
@@ -234,10 +236,11 @@ class System:
 
     def run(self, max_cycles: int | None = None,
             max_events: int | None = None) -> int:
-        """Run until all threads finish (or a limit hits).
+        """Run until all threads finish (or a limit, crash or pause hits).
 
         Returns the finish cycle.  Raises when the engine goes idle with
-        unfinished threads — a deadlock in the modelled hardware.
+        unfinished threads — a deadlock in the modelled hardware.  After
+        a pause (:meth:`pause_at`), calling ``run`` again resumes.
 
         The cyclic garbage collector is suspended for the duration of
         the loop: event callbacks are closure/generator-heavy and the
@@ -246,6 +249,7 @@ class System:
         reclaims the vast majority of event garbage immediately; the
         cycles are swept when the collector is re-enabled.
         """
+        self.paused = False
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -253,7 +257,7 @@ class System:
             while True:
                 dispatched = self.engine.run(until=max_cycles,
                                              max_events=max_events)
-                if self._crashed:
+                if self._crashed or self.paused:
                     break
                 if len(self._done_cores) >= len(self.cores):
                     break
@@ -380,6 +384,23 @@ class System:
     def crash_at(self, cycle: int) -> None:
         """Schedule a crash at an absolute cycle (before running)."""
         self.engine.at(cycle, self.crash)
+
+    def pause_at(self, cycle: int) -> Event:
+        """Schedule a pause at an absolute cycle (before running).
+
+        When the pause fires, :meth:`run` returns with :attr:`paused`
+        set and the machine intact: power is not cut.  Scheduled at the
+        spot a :meth:`crash_at` call would take, the pause stops the run
+        at exactly the dispatch position that crash would fire at.  The
+        returned handle re-arms at a later cycle (``Engine.rearm``),
+        keeping that position, so one run can stop at a whole series of
+        crash cycles.
+        """
+        return self.engine.at(cycle, self._pause)
+
+    def _pause(self) -> None:
+        self.paused = True
+        self.engine.stop()
 
     @property
     def crashed(self) -> bool:

@@ -109,7 +109,7 @@ def _key_stock(w: int, i: int) -> int:
 class TpccTables:
     """All TPC-C tables plus row allocation helpers.
 
-    Physical design notes (concurrency-correctness, see DESIGN.md):
+    Physical design notes (concurrency-correctness):
 
     * The ORDERS / NEW_ORDER / ORDER_LINE tables are **partitioned per
       district** — a standard main-memory TPC-C layout — so every

@@ -300,6 +300,12 @@ class TestCrashSweep:
         specs = crash_grid(designs=[Design.ATOM], workloads=["hash", "sps"],
                            crash_cycles=[1000, 2000], seeds=[1, 2, 3])
         assert len(specs) == 1 * 2 * 2 * 3
+        # The crash cycle varies fastest, so each run's points are
+        # adjacent and share its simulated prefix.
+        assert [(s.workload, s.seed, s.crash_cycle) for s in specs[:4]] == [
+            ("hash", 1, 1000), ("hash", 1, 2000),
+            ("hash", 2, 1000), ("hash", 2, 2000),
+        ]
 
     def test_small_sweep_all_points_consistent(self, cache):
         campaign = Campaign(jobs=1, cache=cache)

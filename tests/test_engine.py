@@ -257,6 +257,69 @@ class TestTieBreaking:
         assert order == ["first", "second", "nested"]
 
 
+class TestRearm:
+    """A re-armed event keeps its insertion sequence number — the
+    primitive behind the crash sweep's shared-prefix pauses."""
+
+    @staticmethod
+    def schedule(engine, order, marker_time):
+        # One event per scheduling path around the marker, all at 10.
+        engine.post_at(10, lambda: order.append("lane"))
+        engine.at(10, lambda: order.append("before"))
+        marker = engine.at(marker_time, lambda: order.append("marker"))
+        engine.at(10, lambda: order.append("after"))
+        engine.post(10, lambda: order.append("posted"))
+        return marker
+
+    def test_rearmed_event_dispatches_at_original_insertion_position(self):
+        reference = []
+        engine = Engine()
+        self.schedule(engine, reference, marker_time=10)
+        engine.run()
+
+        order = []
+        engine = Engine()
+        marker = self.schedule(engine, order, marker_time=2)
+        engine.run(until=5)
+        assert order == ["marker"]
+        engine.rearm(marker, 10)
+        engine.at(10, lambda: order.append("newer"))
+        engine.run()
+        assert order[1:] == reference + ["newer"]
+        assert reference == ["lane", "before", "marker", "after", "posted"]
+
+    def test_rearm_is_repeatable_and_counts_as_pending(self):
+        engine = Engine()
+        seen = []
+        marker = engine.at(1, lambda: (seen.append(engine.now),
+                                       engine.stop()))
+        for cycle in (1, 4, 4, 9):
+            if seen:
+                engine.rearm(marker, cycle)
+            assert engine.pending() == 1
+            engine.run()
+            assert engine.pending() == 0
+        assert seen == [1, 4, 4, 9]
+
+    def test_rearm_into_the_past_raises(self):
+        engine = Engine()
+        marker = engine.at(3, lambda: None)
+        engine.at(20, lambda: None)
+        engine.run()
+        with pytest.raises(SimulationError):
+            engine.rearm(marker, 19)
+        assert engine.pending() == 0
+
+    def test_rearm_of_a_queued_or_cancelled_event_raises(self):
+        engine = Engine()
+        queued = engine.at(3, lambda: None)
+        with pytest.raises(SimulationError):
+            engine.rearm(queued, 5)
+        queued.cancel()
+        with pytest.raises(SimulationError):
+            engine.rearm(queued, 5)
+
+
 class TestDeterminism:
     @given(st.lists(st.integers(min_value=0, max_value=1000),
                     min_size=1, max_size=50))

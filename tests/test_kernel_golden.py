@@ -28,15 +28,25 @@ from repro.workloads import make_workload
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_kernel.json"
 
 
-def golden_run(design: Design, traced: bool = False):
+#: Cycles the ``paused`` mode stops at (all before every design's
+#: finish cycle; one pair of adjacent cycles).
+PAUSE_CYCLES = (1, 700, 3_000, 3_001, 15_000)
+
+
+def golden_run(design: Design, mode: str = "plain"):
     """One pinned small run per design (fixed seed, fixed machine).
 
-    With ``traced=True`` the full observability layer (lifecycle tracer
-    + stat sampler) rides along — the goldens must stay bit-identical,
-    which is the tracer's non-perturbation contract.
+    ``traced``: the full observability layer (lifecycle tracer + stat
+    sampler) rides along — the goldens must stay bit-identical, which is
+    the tracer's non-perturbation contract.
+
+    ``paused``: the run stops at every :data:`PAUSE_CYCLES` cycle by
+    re-arming one pause event (what the crash sweep's prefix sharing
+    does) and then resumes to completion — pausing must not perturb the
+    run either.
     """
     system = build_system(design=design, num_cores=4)
-    if traced:
+    if mode == "traced":
         from repro.obs.sample import StatSampler
         from repro.obs.trace import Tracer
 
@@ -46,7 +56,19 @@ def golden_run(design: Design, traced: bool = False):
         "hash", system, entry_bytes=256, txns_per_thread=6,
         initial_items=12, seed=11, threads=4,
     )
-    run_workload_to_completion(system, workload)
+    if mode == "paused":
+        workload.setup()
+        system.start_threads(workload.threads())
+        pause = system.pause_at(PAUSE_CYCLES[0])
+        for cycle in PAUSE_CYCLES:
+            if system.paused:
+                system.engine.rearm(pause, cycle)
+            system.run()
+            assert system.paused and system.engine.now == cycle
+        system.run()
+        assert not system.paused and system.all_done()
+    else:
+        run_workload_to_completion(system, workload)
     result = system.result()
     return {
         "cycles": result.cycles,
@@ -60,12 +82,11 @@ def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-@pytest.mark.parametrize("traced", [False, True],
-                         ids=["plain", "traced"])
+@pytest.mark.parametrize("mode", ["plain", "traced", "paused"])
 @pytest.mark.parametrize("design", list(Design), ids=lambda d: d.value)
 class TestKernelGolden:
-    def test_run_matches_golden(self, design, traced, golden):
-        measured = golden_run(design, traced=traced)
+    def test_run_matches_golden(self, design, mode, golden):
+        measured = golden_run(design, mode=mode)
         reference = golden[design.value]
         assert measured["cycles"] == reference["cycles"], (
             f"{design.value}: finish cycle drifted "
