@@ -3,7 +3,10 @@
 Runs the pinned matrix at a tiny scale and validates the artifact
 schema — NOT the speed (wall-clock on shared CI machines is gated
 separately by the ``perf-smoke`` CI job against
-``benchmarks/perf/baseline.json``, aggregate-only with a 20% margin).
+``benchmarks/perf/baseline.json``, aggregate-only with a 15% margin:
+``--gate-pct 15``).  The full-scale matrix must reproduce the
+baseline's per-point event, cycle and transaction counts exactly: the
+logical event stream is part of the kernel's contract.
 """
 
 from __future__ import annotations
@@ -37,6 +40,18 @@ def test_tiny_run_writes_well_formed_report(tmp_path):
     out = tmp_path / "BENCH_kernel.json"
     out.write_text(json.dumps(report))
     assert json.loads(out.read_text())["schema"] == 1
+
+
+def test_full_matrix_reproduces_baseline_event_stream():
+    baseline = json.loads(BASELINE.read_text())
+    report = run_perf(scale=1.0)
+
+    def counts(points):
+        return {(p["design"], p["workload"]): (p["events"], p["cycles"],
+                                               p["txns"])
+                for p in points}
+
+    assert counts(report["points"]) == counts(baseline["points"])
 
 
 def test_committed_baseline_is_well_formed():

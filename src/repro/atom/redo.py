@@ -178,7 +178,6 @@ class RedoManager:
         wc_buffers = txn.wc_buffers
         txn_id = txn.txn_id
         add_entry = self._add_entries
-        deliveries: list | None = None
         for addr, value in words:
             txn_words.append((addr, value))
             line = addr & ~(CACHE_LINE_BYTES - 1)
@@ -192,27 +191,15 @@ class RedoManager:
             buf.append((addr, value))
             add_entry()
             if len(buf) >= self.entries_per_line:
-                if deliveries is None:
-                    deliveries = []
-                self._flush_wc(core, txn, mc_id, deliveries)
-        if deliveries:
-            # Coalesced send: back-to-back log-line flits of one store
-            # share channel slots (one arrival event per cycle).
-            self.mesh.send_streamed_batch(deliveries)
+                self._flush_wc(core, txn, mc_id)
         if max(self._outstanding.values(), default=0) <= self.wcb_capacity:
             on_done()
         else:
             self._add_wcb_stalls()
             self._wcb_waiters.append(on_done)
 
-    def _flush_wc(self, core: int, txn: _TxnState, mc_id: int,
-                  deliveries: list | None = None) -> None:
-        """Write one combined log line; posted (the store never waits).
-
-        With ``deliveries`` the streamed send is deferred into the
-        caller's coalesced batch (``Mesh.send_streamed_batch``); the WC
-        bookkeeping still happens here, in flush order.
-        """
+    def _flush_wc(self, core: int, txn: _TxnState, mc_id: int) -> None:
+        """Write one combined log line; posted (the store never waits)."""
         buf = txn.wc_buffers[mc_id]
         if not buf:
             return
@@ -225,12 +212,8 @@ class RedoManager:
         mc_tile = self._mc_tile[mc_id]
         self._add_log_line_writes()
         self._outstanding[mc_id] += 1
-        arrival = _LogLineWrite(self, mc, addr, payload, mc_id)
-        if deliveries is not None:
-            deliveries.append((core_tile, mc_tile, CACHE_LINE_BYTES, arrival))
-        else:
-            self.mesh.send_streamed(core_tile, mc_tile, CACHE_LINE_BYTES,
-                                    arrival)
+        self.mesh.send_streamed(core_tile, mc_tile, CACHE_LINE_BYTES,
+                                _LogLineWrite(self, mc, addr, payload, mc_id))
 
     def _log_write_drained(self, mc_id: int) -> None:
         self._outstanding[mc_id] -= 1
@@ -267,11 +250,8 @@ class RedoManager:
             self.system.cores[core].notify_commit(info)
             self.engine.post(1, on_done)
             return
-        deliveries: list = []
         for mc_id in list(txn.wc_buffers):
-            self._flush_wc(core, txn, mc_id, deliveries)
-        if deliveries:
-            self.mesh.send_streamed_batch(deliveries)
+            self._flush_wc(core, txn, mc_id)
         engaged = sorted(txn.log_lines) or [core % len(self.controllers)]
         remaining = {"count": len(engaged)}
         core_tile = self.topology.core_tile(core)

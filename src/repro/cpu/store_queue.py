@@ -137,9 +137,6 @@ class StoreQueue:
         if self._draining or not self._entries:
             return
         self._draining = True
-        # A plain post, not call_soon: try_push's caller (the core's
-        # inline op loop) keeps executing after this returns, and the
-        # drain must not observe state from that continued execution.
         self.engine.post(0, self._drain_cb)
 
     def _drain_head(self) -> None:
@@ -161,9 +158,7 @@ class StoreQueue:
         while self._space_waiters and self._used_slots < self.capacity:
             self.engine.post(0, self._space_waiters.popleft())
         if self._entries:
-            # Tail position: fuse the next drain hop when nothing else
-            # shares this cycle (exact — see Engine.call_soon).
-            self.engine.call_soon(self._drain_cb)
+            self.engine.post(0, self._drain_cb)
         else:
             self._draining = False
             self._notify_empty()

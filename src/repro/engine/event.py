@@ -14,37 +14,16 @@ monotonically increasing insertion counter that is unique per entry, so
 heap ordering is decided entirely by the C-level tuple comparison on
 ``(time, seq)`` — events at equal times dispatch in insertion order, and
 the comparison never reaches ``fn``/``handle``.  Every scheduling path
-(``at``, ``after``, ``post``, ``post_at``) draws from the same ``seq``
-counter, which is what makes interleaved use of the fast and handle
-paths deterministic.
+(``at``, ``after``, ``post``, ``post_at``) pushes onto the one heap and
+draws from the same ``seq`` counter, which is what makes interleaved
+use of the fast and handle paths deterministic; ``run`` pops only that
+heap, one callback per dispatch.
 
 Cancellation is O(1): the :class:`Event` handle is tombstoned (its
 ``cancelled`` flag set, the live-event counter decremented) and the heap
 entry is skipped when it surfaces at pop time.  The live counter also
 makes ``pending()``/``idle()`` O(1) — the simulation main loop checks
 ``idle()`` every time ``run`` returns.
-
-Batch-timing support
---------------------
-Two primitives let hot components retire events without a heap round
-trip, **bit-for-bit exactly** when — and only when — the heap proves no
-other event could interleave:
-
-* :meth:`peek_time` exposes the earliest queued entry's time.  A
-  component that knows its own future work (e.g. the channel arbiter's
-  slot sequence) may perform any slot strictly earlier than that time
-  inline: nothing can dispatch in between, so no observer exists to
-  tell the difference.
-* :meth:`call_soon` fuses a *tail-position* ``post(0, fn)``: when no
-  queued entry shares the current cycle (and no stop is pending),
-  ``fn`` is invoked directly — it would have been the very next
-  dispatch with the same ``now``.
-
-Work retired through either primitive counts as a **virtual dispatch**;
-``events_dispatched`` reports heap plus virtual dispatches, so the
-events/sec figure of merit keeps measuring the same logical event
-stream across kernels that batch differently (see README
-"Performance").
 """
 
 from __future__ import annotations
@@ -54,9 +33,9 @@ from collections.abc import Callable
 
 from repro.common.errors import SimulationError
 
-#: Sentinel returned by :meth:`Engine.peek_time` on an empty heap —
-#: larger than any reachable cycle, so ``t < peek_time()`` stays a
-#: plain int comparison.
+#: Horizon and budget of an unbounded :meth:`Engine.run` — larger than
+#: any reachable cycle, so the dispatch loop's limit tests stay plain
+#: int comparisons.
 NEVER = 1 << 62
 
 
@@ -102,24 +81,11 @@ class Engine:
         self.now: int = 0
         #: Min-heap of (time, seq, fn, handle-or-None) tuples.
         self._queue: list[tuple] = []
-        #: One-slot bypass lane: a single ``(time, seq, fn)`` entry kept
-        #: out of the heap.  Handle-free posts claim it when free; the
-        #: dispatch loop merges it with the heap by exact ``(time, seq)``
-        #: order, so scheduling semantics are bit-for-bit identical to
-        #: heap-only — chains of causally dependent events (the common
-        #: simulator shape: each callback schedules its continuation)
-        #: flow through the lane and skip both heap operations.
-        self._next: tuple | None = None
         self._seq = 0
         #: Live (non-cancelled, undispatched) events — kept O(1) so the
         #: per-iteration idle check in ``System.run`` is free.
         self._live = 0
         self._dispatched = 0
-        #: Events retired inline by the batch-timing primitives
-        #: (``call_soon`` fusion, ``count_virtual`` from slot batching)
-        #: instead of through the heap.  Each one corresponds to exactly
-        #: one dispatch the reference (unbatched) kernel performs.
-        self._virtual = 0
         self._running = False
         self._stop_requested = False
 
@@ -182,17 +148,7 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
-        time = self.now + delay
-        nxt = self._next
-        if nxt is None:
-            self._next = (time, seq, fn)
-        elif time < nxt[0]:
-            # Keep the lane holding the minimum: the displaced entry
-            # pays the heap, the soonest event keeps the fast path.
-            self._next = (time, seq, fn)
-            heapq.heappush(self._queue, (nxt[0], nxt[1], nxt[2], None))
-        else:
-            heapq.heappush(self._queue, (time, seq, fn, None))
+        heapq.heappush(self._queue, (self.now + delay, seq, fn, None))
 
     def post_at(self, time: int, fn: Callable[[], None]) -> None:
         """Fast path of :meth:`at`: no cancellation handle.
@@ -207,77 +163,18 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
-        nxt = self._next
-        if nxt is None:
-            self._next = (time, seq, fn)
-        elif time < nxt[0]:
-            self._next = (time, seq, fn)
-            heapq.heappush(self._queue, (nxt[0], nxt[1], nxt[2], None))
-        else:
-            heapq.heappush(self._queue, (time, seq, fn, None))
-
-    # -- batch-timing primitives ------------------------------------------
-
-    def peek_time(self) -> int:
-        """Time of the earliest queued entry (``NEVER`` when empty).
-
-        Tombstoned entries are included, which only makes callers
-        conservative: a cancelled event's slot can never be *later*
-        than the live minimum.
-        """
-        queue = self._queue
-        t = queue[0][0] if queue else NEVER
-        nxt = self._next
-        if nxt is not None and nxt[0] < t:
-            return nxt[0]
-        return t
-
-    def count_virtual(self, n: int = 1) -> None:
-        """Account ``n`` events retired inline by a batching component.
-
-        Call once per reference-kernel event whose work was performed
-        without a heap round trip (e.g. one channel arbiter slot folded
-        into a batch).  Keeps ``events_dispatched`` — the benchmark's
-        figure of merit — counting the same logical event stream.
-        """
-        self._virtual += n
-
-    def call_soon(self, fn: Callable[[], None]) -> None:
-        """``post(0, fn)`` with exact tail-call fusion.
-
-        When no queued entry shares the current cycle, ``fn`` would be
-        the very next dispatch at the same ``now`` — so it runs inline,
-        skipping the heap round trip, and is accounted as a virtual
-        dispatch.  Otherwise (same-cycle events pending, a stop
-        requested, or the engine not running) this falls back to a
-        plain ``post(0, fn)``.
-
-        ONLY sound for tail-position continuations: the caller must do
-        nothing observable after this call, or the fused ``fn`` would
-        see state the deferred one would not.
-        """
-        if (
-            self._running
-            and not self._stop_requested
-            and self.peek_time() > self.now
-        ):
-            self._virtual += 1
-            fn()
-            return
-        # Class-level call on purpose: instrumentation (the perf
-        # profiler) patches the instance's ``post``/``call_soon`` and
-        # wraps ``fn`` once — the fallback must not wrap it twice.
-        Engine.post(self, 0, fn)
+        heapq.heappush(self._queue, (time, seq, fn, None))
 
     # -- execution --------------------------------------------------------
 
     def run(self, until: int | None = None, max_events: int | None = None) -> int:
         """Dispatch events until the queue empties or a limit is hit.
 
-        ``until`` bounds simulated time (events at t > until stay queued
-        and ``now`` advances to ``until``); ``max_events`` bounds the
-        number of dispatched callbacks.  Returns the number of events
-        dispatched by this call.
+        ``until`` bounds simulated time: events at t > until stay queued
+        and ``now`` advances to ``until`` (never backwards: a horizon
+        already behind the clock leaves it where it is).  ``max_events``
+        bounds the number of dispatched callbacks.  Returns the number
+        of events dispatched by this call.
         """
         if self._running:
             raise SimulationError("engine.run() re-entered")
@@ -292,46 +189,19 @@ class Engine:
         horizon = NEVER if until is None else until
         budget = NEVER if max_events is None else max_events
         try:
-            while True:
-                if self._stop_requested or dispatched >= budget:
-                    break
-                # Merge the bypass lane with the heap in exact
-                # (time, seq) order — the lane is just a heap entry
-                # that never paid the heap.
-                nxt = self._next
-                if nxt is not None and (
-                    not queue
-                    or nxt[0] < queue[0][0]
-                    or (nxt[0] == queue[0][0] and nxt[1] < queue[0][1])
-                ):
-                    time, _seq, fn = nxt
-                    if time > horizon:
-                        self.now = until
-                        break
-                    self._next = None
-                elif queue:
-                    time, _seq, fn, handle = queue[0]
-                    if handle is not None and handle.cancelled:
-                        heappop(queue)  # tombstone: off the live count
-                        continue
-                    if time > horizon:
-                        self.now = until
-                        break
-                    heappop(queue)
-                    if handle is not None:
-                        handle._engine = None
-                else:
-                    # Natural exit (nothing pending): advance to the
-                    # horizon — unless a stop was requested by the
-                    # final event, in which case the clock freezes at
-                    # that event's time.
-                    if (
-                        until is not None
-                        and until > self.now
-                        and not self._stop_requested
-                    ):
+            while not self._stop_requested and dispatched < budget:
+                if not queue or queue[0][0] > horizon:
+                    # Nothing left by the horizon: the clock advances to
+                    # it.  A stop freezes the clock at the stopping
+                    # event's time instead (the loop condition).
+                    if until is not None and until > self.now:
                         self.now = until
                     break
+                time, _seq, fn, handle = heappop(queue)
+                if handle is not None:
+                    if handle.cancelled:
+                        continue  # tombstone: already off the live count
+                    handle._engine = None
                 self._live -= 1
                 self.now = time
                 fn()
@@ -358,18 +228,8 @@ class Engine:
 
     @property
     def events_dispatched(self) -> int:
-        """Total events dispatched over the engine's lifetime.
-
-        Heap dispatches plus virtual dispatches (events retired inline
-        by the batch-timing primitives) — i.e. the size of the logical
-        event stream, invariant to how much of it was batched.
-        """
-        return self._dispatched + self._virtual
-
-    @property
-    def virtual_dispatches(self) -> int:
-        """Events retired inline by batching (subset of the above)."""
-        return self._virtual
+        """Total events dispatched over the engine's lifetime."""
+        return self._dispatched
 
     def idle(self) -> bool:
         """True when no live events remain (O(1))."""

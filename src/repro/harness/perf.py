@@ -83,14 +83,14 @@ def _layer_of(fn) -> str:
 class LayerProfiler:
     """Per-layer event/wall attribution for one simulation run.
 
-    Every scheduled callback is wrapped with a timing shim at post time
-    and bucketed by the layer its code lives in.  Work a callback
-    performs inline (slot-batched channel issues, fused tail calls,
-    synchronous completion chains) is charged to the *dispatching*
-    layer — exactly the attribution a flat-tail hunt wants, since the
-    dispatching layer is where the wall-clock is spent.  The shims cost
-    real time, so profiled runs are measured separately and never feed
-    the events/sec figure or the regression gate.
+    Every callback scheduled through ``post``/``post_at`` is wrapped
+    with a timing shim at post time and bucketed by the layer its code
+    lives in.  Work a callback performs inline (synchronous completion
+    chains) is charged to the *dispatching* layer — exactly the
+    attribution a flat-tail hunt wants, since the dispatching layer is
+    where the wall-clock is spent.  The shims cost real time, so
+    profiled runs are measured separately and never feed the events/sec
+    figure or the regression gate.
     """
 
     def __init__(self, engine):
@@ -99,7 +99,6 @@ class LayerProfiler:
         self.buckets: dict[str, list] = defaultdict(lambda: [0, 0.0])
         self._orig_post = engine.post
         self._orig_post_at = engine.post_at
-        self._orig_call_soon = engine.call_soon
         perf_counter = time.perf_counter
         buckets = self.buckets
 
@@ -114,27 +113,13 @@ class LayerProfiler:
 
             return timed
 
-        def count_only(fn):
-            # Fused tail calls run inside their dispatching callback:
-            # count the event in its own layer, charge the wall to the
-            # dispatcher (no double-counted seconds).
-            bucket = buckets[_layer_of(fn)]
-
-            def counted() -> None:
-                bucket[0] += 1
-                fn()
-
-            return counted
-
         engine.post = lambda delay, fn: self._orig_post(delay, shim(fn))
         engine.post_at = lambda t, fn: self._orig_post_at(t, shim(fn))
-        engine.call_soon = lambda fn: self._orig_call_soon(count_only(fn))
 
     def detach(self) -> None:
         engine = self.engine
         engine.post = self._orig_post
         engine.post_at = self._orig_post_at
-        engine.call_soon = self._orig_call_soon
 
     def report(self) -> dict:
         """``layer -> {events, wall_s, wall_pct}``, largest share first."""

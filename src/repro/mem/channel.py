@@ -17,21 +17,11 @@ own channel).  A channel models:
 The channel is purely a timing device: completion callbacks receive the
 finish cycle and the caller updates functional state (durable image).
 
-Slot batching
--------------
-The arbiter runs once per device slot.  The reference kernel dispatched
-one heap event per slot; this one *batches*: while the next slot time
-strictly precedes every queued engine event (``Engine.peek_time``), the
-arbitration decision at that slot is already sealed — no event, hence
-no new request and no watermark change, can possibly interleave — so
-the slot is performed inline in the same dispatch.  Completions are
-still scheduled at their exact per-request times, parked writers are
-woken at the exact slot cycle (the ``_vnow`` virtual clock), and each
-folded slot is accounted as a virtual dispatch.  The result is
-bit-for-bit identical timing and statistics with one arbiter event per
-*run* of back-to-back slots instead of one per request —
-``tests/test_channel_batch.py`` checks the equivalence against an
-in-tree reference arbiter over randomized request streams.
+Arbitration is one engine event per device slot: ``_issue_next``
+picks one request by the policy above, occupies the bus for it, posts
+its completion, wakes one writer parked on a full write queue when the
+request was a write, and posts itself again at the next free slot while
+work is queued.
 """
 
 from __future__ import annotations
@@ -114,11 +104,6 @@ class Channel:
         self.track_inflight_writes = False
         self._busy_until = 0
         self._scheduled = False
-        #: Virtual clock of the slot being issued: set while the batch
-        #: loop performs a slot at a cycle the engine has not reached
-        #: yet, so re-submissions from woken writers are timestamped at
-        #: the slot cycle, exactly as the unbatched kernel would.
-        self._vnow: int | None = None
         #: Callbacks waiting for write-queue space (backpressure).
         self._write_waiters: deque[Callable[[], None]] = deque()
         # -- per-channel timing constants and bound counters ---------------
@@ -157,10 +142,7 @@ class Channel:
              on_done: Callable[[], None]) -> None:
         """Enqueue a read; ``on_done`` fires when data is back."""
         assert kind is AccessKind.DATA_READ or kind is AccessKind.LOG_READ
-        now = self._vnow
-        if now is None:
-            now = self.engine.now
-        req = ChannelRequest(kind, addr, size, on_done, now)
+        req = ChannelRequest(kind, addr, size, on_done, self.engine.now)
         self._read_q.append(req)
         self._count_add[kind]()
         self._kick()
@@ -181,10 +163,7 @@ class Channel:
         if len(write_q) >= self._depth:
             self._add_wq_full()
             return False
-        now = self._vnow
-        if now is None:
-            now = self.engine.now
-        req = ChannelRequest(kind, addr, size, on_done, now)
+        req = ChannelRequest(kind, addr, size, on_done, self.engine.now)
         if priority:
             write_q.appendleft(req)
         else:
@@ -271,66 +250,43 @@ class Channel:
         return None
 
     def _issue_next(self) -> None:
+        self._scheduled = False
         req = self._select()
         if req is None:
-            self._scheduled = False
             return
-        # _scheduled stays True for the whole batch so re-submissions
-        # from writers woken mid-slot cannot re-post the arbiter.
         engine = self.engine
         now = engine.now
-        t = now
-        kind_info = self._kind_info
-        ser_cache = self._ser_cache
-        read_q, write_q = self._read_q, self._write_q
-        post_at = engine.post_at
-        batched = 0
-        while True:
-            latency, bank_floor, add_bytes, is_read = kind_info[req.kind]
-            # Effective occupancy: bus serialization, or the device-bank
-            # bottleneck when the array latency outruns the banks.
-            size = req.size
-            ser = ser_cache.get(size)
-            if ser is None:
-                ser = self._serialization_cycles(size)
-            if bank_floor > ser:
-                ser = bank_floor
-            req.issue_time = t
-            busy = t + ser
-            self._busy_until = busy
-            self._add_busy(ser)
-            add_bytes(size)
-            self._add_queue_wait(t - req.enqueue_time)
-            if req.on_done is not None:
-                if is_read or not self.track_inflight_writes:
-                    post_at(busy + latency, req.on_done)
-                else:
-                    # Track the write while it is in the device so a
-                    # crash (drop or clean drain) can account for it;
-                    # the posted completion removes it again.  Same
-                    # single event, same firing time.
-                    self._inflight_writes.append(req)
-                    post_at(busy + latency, self._write_completion(req))
-            if not is_read:
-                self._notify_write_space(t)
-            if not (read_q or write_q):
-                self._scheduled = False
-                break
-            # Slot batch: the decision at the next slot (time ``busy``)
-            # is sealed once no queued engine event precedes it — no
-            # arrival or watermark change can interleave, so perform
-            # the slot inline instead of dispatching a chain event.
-            # Strict ``<`` leaves any tie at the slot cycle to the heap,
-            # preserving the reference kernel's seq-order tiebreak.
-            if busy >= engine.peek_time():
-                self._scheduled = True
-                post_at(busy if busy > now else now, self._issue_next)
-                break
-            req = self._select()
-            t = busy
-            batched += 1
-        if batched:
-            engine.count_virtual(batched)
+        latency, bank_floor, add_bytes, is_read = self._kind_info[req.kind]
+        # Effective occupancy: bus serialization, or the device-bank
+        # bottleneck when the array latency outruns the banks.
+        size = req.size
+        ser = self._ser_cache.get(size)
+        if ser is None:
+            ser = self._serialization_cycles(size)
+        if bank_floor > ser:
+            ser = bank_floor
+        req.issue_time = now
+        busy = now + ser
+        self._busy_until = busy
+        self._add_busy(ser)
+        add_bytes(size)
+        self._add_queue_wait(now - req.enqueue_time)
+        if req.on_done is not None:
+            if is_read or not self.track_inflight_writes:
+                engine.post_at(busy + latency, req.on_done)
+            else:
+                # Track the write while it is in the device so a crash
+                # (drop or clean drain) can account for it; the posted
+                # completion removes it again.  Same single event, same
+                # firing time.
+                self._inflight_writes.append(req)
+                engine.post_at(busy + latency, self._write_completion(req))
+        if not is_read and self._write_waiters:
+            # The issued write freed a queue slot: wake one parked writer.
+            engine.post(0, self._write_waiters.popleft())
+        if self._read_q or self._write_q:
+            self._scheduled = True
+            engine.post_at(busy, self._issue_next)
 
     def _write_completion(self, req: ChannelRequest):
         """Completion thunk for a write in the device.
@@ -359,36 +315,6 @@ class Channel:
             ser = max(1, round(size / self._bytes_per_cycle))
             self._ser_cache[size] = ser
         return ser
-
-    def _notify_write_space(self, t: int) -> None:
-        """Wake parked writers for the slot just freed at cycle ``t``.
-
-        The reference kernel posted one ``post(0, waiter)`` event per
-        issued write; here waiters are drained *inline* up to the
-        available queue space — at the slot's virtual clock — whenever
-        the wake-up would provably be the next dispatch at that cycle.
-        Only when same-cycle engine events are pending (possible for
-        the batch's first slot only) does the wake-up fall back to a
-        posted event, preserving the reference seq-order tiebreak.
-        """
-        waiters = self._write_waiters
-        if not waiters:
-            return
-        engine = self.engine
-        if t == engine.now and engine.peek_time() <= t:
-            engine.post(0, waiters.popleft())
-            return
-        depth = self._depth
-        write_q = self._write_q
-        self._vnow = t
-        try:
-            while True:
-                engine.count_virtual()
-                waiters.popleft()()
-                if not waiters or len(write_q) >= depth:
-                    return
-        finally:
-            self._vnow = None
 
     def __repr__(self) -> str:
         return (

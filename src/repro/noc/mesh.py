@@ -26,19 +26,6 @@ from repro.noc.topology import Topology
 HEADER_BYTES = 8
 
 
-class _DeliverGroup:
-    """One engine event delivering several same-cycle messages in order."""
-
-    __slots__ = ("fns",)
-
-    def __init__(self, fns):
-        self.fns = fns
-
-    def __call__(self) -> None:
-        for fn in self.fns:
-            fn()
-
-
 class Mesh:
     """The on-chip interconnect: latency calculator and message scheduler."""
 
@@ -144,35 +131,6 @@ class Mesh:
                                                 payload_bytes)
         self._add_streamed()
         self.engine.post_at(arrive, on_arrive)
-
-    def send_streamed_batch(self, deliveries) -> None:
-        """Coalesced :meth:`send_streamed`: one event per arrival slot.
-
-        ``deliveries`` is a sequence of ``(src_tile, dst_tile,
-        payload_bytes, on_arrive)``.  Back-to-back flits leaving in the
-        same cycle (a write-combining drain flushing several log lines)
-        arrive in submission order; deliveries that land at the same
-        cycle share one engine event, with the folded ones accounted as
-        virtual dispatches.  Per-message latency and statistics are
-        identical to N individual streamed sends.
-        """
-        now = self.engine.now
-        by_time: dict[int, list] = {}
-        for src_tile, dst_tile, payload_bytes, on_arrive in deliveries:
-            arrive = now + self.latency(src_tile, dst_tile, payload_bytes)
-            self._add_streamed()
-            group = by_time.get(arrive)
-            if group is None:
-                by_time[arrive] = [on_arrive]
-            else:
-                group.append(on_arrive)
-        for arrive in sorted(by_time):
-            group = by_time[arrive]
-            if len(group) == 1:
-                self.engine.post_at(arrive, group[0])
-            else:
-                self.engine.count_virtual(len(group) - 1)
-                self.engine.post_at(arrive, _DeliverGroup(group))
 
     def request_response(
         self,

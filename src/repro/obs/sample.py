@@ -12,12 +12,11 @@ records a snapshot combining
   state — the ADR fill — and REDO outstanding work).
 
 The sampler's tick is a real engine event, but it only *reads*: no
-simulated state changes, no stats counters move, and the channel
-arbiter's slot batching is bit-for-bit equivalent with extra queued
-events present (the batching tie-break is strict), so sampled runs
-produce identical results and golden digests.  The tick stops
-rescheduling once every core finished or the machine crashed, keeping
-``System.drain()`` convergent.
+simulated state changes, no stats counters move, and an extra queued
+event leaves the ``(time, seq)`` order of all other events unchanged,
+so sampled runs produce identical results and golden digests.  The
+tick stops rescheduling once every core finished or the machine
+crashed, keeping ``System.drain()`` convergent.
 """
 
 from __future__ import annotations

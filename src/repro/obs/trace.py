@@ -6,8 +6,8 @@ holds a ``tracer`` attribute that is ``None`` in normal runs, and each
 hook site pays exactly one predictable ``if tracer is not None``
 branch — the same gate pattern the injector already established, and
 nothing on the per-operation hot paths (the core's inline interpreter
-loop and the channel arbiter's slot batch are untouched; they are
-observed through counters and the sampler instead).
+loop and the channel arbiter are untouched; they are observed through
+counters and the sampler instead).
 
 An installed tracer is **read-only**: it records timestamps from the
 engine clock and appends to its own buffers, never posts engine

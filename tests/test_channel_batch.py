@@ -1,18 +1,15 @@
-"""Differential equivalence net for the batch-timing kernel paths.
+"""Differential net: the channel arbiter and the engine against frozen
+reference kernels.
 
-The slot-batched channel arbiter, the inline write-space waiter drain,
-the engine's one-slot bypass lane, and the coalesced streamed-send path
-are only acceptable because they are **bit-for-bit identical** to the
-reference (one event per slot, one posted wake-up per freed slot,
-heap-only scheduling, one event per streamed message).  This net drives
-randomized seeded request streams — including backpressure, priority
-writes, in-flight tracking, and drain/crash interleavings — through
-both implementations and requires identical completion times, identical
-completion order, and identical statistics.
-
-The reference implementations live here, in the test, frozen at the
-pre-batching semantics (PR 4's kernel): they are the executable spec
-the batched fast paths are judged against.
+``ReferenceEngine`` (heap-only scheduling, pure ``(time, seq)`` dispatch
+order) and ``ReferenceChannel`` (one dispatched arbiter event per device
+slot, one posted wake-up per freed write slot) are re-implemented here
+and frozen: they are the executable spec that any change to
+``Engine`` scheduling or ``Channel`` arbitration is judged against.
+The net drives seeded request streams — including backpressure,
+priority writes, in-flight tracking and drop/drain crash interleavings
+— and seeded scheduling storms through both and requires identical
+completion times, completion order, statistics and dispatch traces.
 """
 
 from __future__ import annotations
@@ -24,21 +21,16 @@ import pytest
 from repro.common.stats import Stats
 from repro.config import MemoryConfig
 from repro.engine import Engine
-from repro.engine.event import NEVER
 from repro.mem.channel import AccessKind, Channel
-from repro.noc.mesh import Mesh
-from repro.noc.topology import Topology
-from repro.config import NocConfig
 
 
-# -- reference implementations (pre-batching semantics) -----------------------
+# -- reference implementations ------------------------------------------------
 
 
 class ReferenceEngine:
-    """Heap-only engine: the scheduling semantics the lane must match.
+    """Heap-only engine: the scheduling semantics ``Engine`` must match.
 
-    Deliberately re-implemented from the pre-lane engine: every
-    handle-free post goes through the heap, dispatch order is pure
+    Every handle-free post goes through the heap, dispatch order is pure
     ``(time, seq)``.
     """
 
@@ -61,16 +53,6 @@ class ReferenceEngine:
         self._seq += 1
         self._heapq.heappush(self._queue, (time, self._seq, fn))
 
-    # The reference channel calls these engine hooks too.
-    def peek_time(self):
-        return self._queue[0][0] if self._queue else NEVER
-
-    def count_virtual(self, n=1):
-        pass
-
-    def call_soon(self, fn):
-        self.post(0, fn)
-
     def stop(self):
         self._stop = True
 
@@ -83,7 +65,7 @@ class ReferenceEngine:
 
 
 class ReferenceChannel(Channel):
-    """The pre-batching arbiter: one dispatched event per device slot,
+    """The reference arbiter: one dispatched event per device slot,
     one posted wake-up per freed write slot."""
 
     def _issue_next(self):
@@ -202,24 +184,7 @@ def test_batched_channel_matches_reference(crash, track_inflight):
         assert fast[2] == ref[2], f"seed {seed}: busy_until diverged"
 
 
-def test_batched_arbiter_actually_batches():
-    """Sanity: an uncontended run of queued requests folds into one
-    arbiter dispatch (virtual dispatches appear)."""
-    engine = Engine()
-    stats = Stats().domain("ch")
-    channel = Channel(engine, _mem_config(), stats, "ch")
-    done = []
-    for i in range(3):
-        engine.post_at(
-            0, (lambda i=i: channel.read(AccessKind.DATA_READ, i * 64, 64,
-                                         lambda i=i: done.append(i)))
-        )
-    engine.run()
-    assert done == [0, 1, 2]
-    assert engine.virtual_dispatches > 0
-
-
-# -- engine bypass-lane equivalence -------------------------------------------
+# -- engine scheduling equivalence --------------------------------------------
 
 
 def _engine_script(engine, post, post_at, seed: int):
@@ -245,7 +210,7 @@ def _engine_script(engine, post, post_at, seed: int):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_lane_engine_matches_heap_engine(seed):
-    """The bypass lane preserves exact (time, seq) dispatch order."""
+    """The engine dispatches in exact (time, seq) order."""
     ref_engine = ReferenceEngine()
     ref = _engine_script(ref_engine, ref_engine.post, ref_engine.post_at,
                          seed)
@@ -255,39 +220,3 @@ def test_lane_engine_matches_heap_engine(seed):
     fast = _engine_script(eng, eng.post, eng.post_at, seed)
     eng.run()
     assert fast == ref
-
-
-# -- coalesced streamed sends -------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_streamed_batch_matches_individual_sends(seed):
-    """send_streamed_batch == N send_streamed: arrivals, order, stats."""
-    rng = random.Random(seed)
-    deliveries = [
-        (rng.randrange(0, 8), rng.randrange(0, 8),
-         rng.choice([8, 64, 64, 128]))
-        for _ in range(12)
-    ]
-
-    def run(batched: bool):
-        engine = Engine()
-        stats = Stats().domain("mesh")
-        mesh = Mesh(engine, Topology(8, 4, NocConfig()), NocConfig(), stats)
-        trace = []
-        def receiver(tag):
-            return lambda: trace.append((tag, engine.now))
-        def kickoff():
-            if batched:
-                mesh.send_streamed_batch([
-                    (src, dst, size, receiver(i))
-                    for i, (src, dst, size) in enumerate(deliveries)
-                ])
-            else:
-                for i, (src, dst, size) in enumerate(deliveries):
-                    mesh.send_streamed(src, dst, size, receiver(i))
-        engine.post_at(0, kickoff)
-        engine.run()
-        return trace, stats.as_dict()
-
-    assert run(True) == run(False)

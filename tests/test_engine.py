@@ -227,6 +227,20 @@ class TestStopSemantics:
         engine.run(until=50)
         assert engine.now == 50
 
+    def test_horizon_behind_the_clock_never_rewinds_it(self):
+        engine = Engine()
+        seen = []
+        engine.at(10, lambda: seen.append(10))
+        engine.run()
+        engine.at(20, lambda: seen.append(20))
+        assert engine.run(until=5) == 0
+        assert engine.now == 10
+        assert engine.pending() == 1
+        with pytest.raises(SimulationError):
+            engine.at(7, lambda: seen.append(7))
+        engine.run()
+        assert seen == [10, 20]
+
 
 class TestTieBreaking:
     """The determinism contract the crash tests rely on: equal
@@ -264,7 +278,7 @@ class TestRearm:
     @staticmethod
     def schedule(engine, order, marker_time):
         # One event per scheduling path around the marker, all at 10.
-        engine.post_at(10, lambda: order.append("lane"))
+        engine.post_at(10, lambda: order.append("post_at"))
         engine.at(10, lambda: order.append("before"))
         marker = engine.at(marker_time, lambda: order.append("marker"))
         engine.at(10, lambda: order.append("after"))
@@ -286,7 +300,8 @@ class TestRearm:
         engine.at(10, lambda: order.append("newer"))
         engine.run()
         assert order[1:] == reference + ["newer"]
-        assert reference == ["lane", "before", "marker", "after", "posted"]
+        assert reference == ["post_at", "before", "marker", "after",
+                             "posted"]
 
     def test_rearm_is_repeatable_and_counts_as_pending(self):
         engine = Engine()
