@@ -94,9 +94,35 @@ class LitmusOutcome:
 
 
 def _outcome_to_dict(outcome: LitmusOutcome) -> dict:
-    payload = dataclasses.asdict(outcome)
-    payload["point"]["design"] = outcome.point.design.value
-    return payload
+    """Encode an outcome as a JSON-plain payload.
+
+    The payload serialises exactly as ``dataclasses.asdict`` (with
+    ``design`` as its value) would, key order included, so cache
+    entries do not move.  It is built field by field: the spec encoding
+    ``point.test`` is already JSON-plain and the same for every point
+    of a test, so the payload shares it, and the outcome's other
+    containers, instead of deep-copying them.
+    """
+    point = outcome.point
+    return {
+        "point": {
+            "test": point.test,
+            "design": point.design.value,
+            "crash_cycle": point.crash_cycle,
+            "seed": point.seed,
+            "fault": point.fault,
+            "storm": point.storm,
+        },
+        "state": outcome.state,
+        "digest": outcome.digest,
+        "commits": outcome.commits,
+        "rolled_back": outcome.rolled_back,
+        "finish": outcome.finish,
+        "idempotent": outcome.idempotent,
+        "recovery_cost": outcome.recovery_cost,
+        "windows": outcome.windows,
+        "error": outcome.error,
+    }
 
 
 def _outcome_from_dict(payload: dict) -> LitmusOutcome:

@@ -60,6 +60,7 @@ and CLI inputs can never execute arbitrary code.
 from __future__ import annotations
 
 import ast
+import functools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -139,15 +140,30 @@ _ALLOWED_NODES = (
 )
 
 
+#: Compiled conditions kept per process.  Every litmus point validates
+#: its spec, so the catalog recompiles the same few expressions
+#: thousands of times; the bound keeps a long-lived pool worker running
+#: ``litmus gen`` batches (fresh expressions per program) from growing
+#: the cache without limit.
+CONDITION_CACHE_SIZE = 1024
+
+
 def compile_condition(expr: str,
                       variables: Sequence[str]) -> Callable[[dict], bool]:
     """Compile a postcondition into ``fn(state) -> bool``.
 
     ``state`` maps variable names to recovered u64 values.  Raises
     :class:`LitmusError` for syntax errors, disallowed constructs, or
-    names outside ``variables``.
+    names outside ``variables``.  Memoised per process on ``(expr,
+    frozenset(variables))``; a rejected condition is never cached, so
+    it raises on every call.
     """
-    names = set(variables)
+    return _compile_condition(expr, frozenset(variables))
+
+
+@functools.lru_cache(maxsize=CONDITION_CACHE_SIZE)
+def _compile_condition(expr: str,
+                       names: frozenset[str]) -> Callable[[dict], bool]:
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:

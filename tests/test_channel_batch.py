@@ -168,7 +168,7 @@ def _drive(channel_cls, engine, seed: int, crash: str | None,
 
 @pytest.mark.parametrize("crash", [None, "drop", "drain"])
 @pytest.mark.parametrize("track_inflight", [False, True])
-def test_batched_channel_matches_reference(crash, track_inflight):
+def test_channel_matches_reference(crash, track_inflight):
     """Completion times/order and stats are identical across 20 seeds."""
     for seed in range(20):
         ref = _drive(ReferenceChannel, ReferenceEngine(), seed, crash,
@@ -209,7 +209,7 @@ def _engine_script(engine, post, post_at, seed: int):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_lane_engine_matches_heap_engine(seed):
+def test_engine_matches_heap_reference(seed):
     """The engine dispatches in exact (time, seq) order."""
     ref_engine = ReferenceEngine()
     ref = _engine_script(ref_engine, ref_engine.post, ref_engine.post_at,

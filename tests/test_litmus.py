@@ -65,6 +65,54 @@ class TestConditionCompiler:
             compile_condition("A ==", ["A"])
 
 
+class TestConditionMemo:
+    """``compile_condition`` is memoised per process: repeats share one
+    compiled function, while errors and variable sets behave exactly as
+    without the memo, and the memo stays bounded."""
+
+    def test_repeat_compiles_share_one_function(self):
+        first = compile_condition("A == 7 and B == 0", ["A", "B"])
+        # The key is the variable *set*: order and container don't matter.
+        assert compile_condition("A == 7 and B == 0", ("B", "A")) is first
+        assert first({"A": 7, "B": 0}) and not first({"A": 7, "B": 1})
+
+    @pytest.mark.parametrize("expr,match", [
+        ("A ==", "bad condition"),
+        ("A.__class__", "not allowed"),
+        ("C == 1", "unknown variable"),
+    ])
+    def test_rejected_condition_raises_on_every_call(self, expr, match):
+        from repro.litmus.spec import _compile_condition
+
+        misses = _compile_condition.cache_info().misses
+        for _ in range(3):
+            with pytest.raises(LitmusError, match=match):
+                compile_condition(expr, ["A", "B"])
+        # Every call compiled afresh: errors never enter the memo.
+        assert _compile_condition.cache_info().misses == misses + 3
+
+    def test_variable_set_is_part_of_the_key(self):
+        # Both orders: a cached success must not mask the error for a
+        # set lacking the name, and a raised error must not poison the
+        # set that has it.
+        assert compile_condition("C == 1", ["A", "C"])({"A": 0, "C": 1})
+        with pytest.raises(LitmusError, match="unknown variable 'C'"):
+            compile_condition("C == 1", ["A", "B"])
+        with pytest.raises(LitmusError, match="unknown variable 'D'"):
+            compile_condition("D == 2", ["A", "B"])
+        assert compile_condition("D == 2", ["A", "D"])({"A": 0, "D": 2})
+
+    def test_memo_has_a_fixed_bound(self):
+        from repro.litmus.spec import CONDITION_CACHE_SIZE, _compile_condition
+
+        assert _compile_condition.cache_info().maxsize == CONDITION_CACHE_SIZE
+        # A long-lived worker compiling ever-new expressions (litmus gen
+        # batches) stays at the bound.
+        for i in range(CONDITION_CACHE_SIZE + 8):
+            compile_condition(f"A == {i}", ["A"])
+        assert _compile_condition.cache_info().currsize == CONDITION_CACHE_SIZE
+
+
 class TestSpecValidation:
     def test_valid_spec_roundtrips(self):
         spec = tiny_spec().validate()
@@ -389,6 +437,54 @@ class TestExploration:
             explore(Campaign(jobs=1), tests=[tiny_spec()],
                     designs=[Design.NON_ATOMIC], points=2,
                     faults=[TornLogWrite()])
+
+
+def _codec_points() -> dict:
+    from repro.faults.models import TornLogWrite
+
+    test = tiny_spec().to_dict()
+    return {
+        "probe": LitmusPoint(test=test, design=Design.BASE,
+                             crash_cycle=None),
+        "crash": LitmusPoint(test=test, design=Design.ATOM_OPT,
+                             crash_cycle=400),
+        "fault": LitmusPoint(test=test, design=Design.ATOM, crash_cycle=400,
+                             fault=TornLogWrite().to_dict()),
+        "storm": LitmusPoint(test=test, design=Design.ATOM, crash_cycle=400,
+                             storm=3),
+        # An unknown log override fails the machine build: an outcome
+        # carrying ``error`` and no state.
+        "error": LitmusPoint(
+            test=tiny_spec(log_overrides={"no_such_knob": 1}).to_dict(),
+            design=Design.BASE, crash_cycle=None),
+    }
+
+
+class TestOutcomeCodec:
+    """Drift guard for the field-by-field litmus outcome codec.
+
+    The payload must serialise exactly as ``dataclasses.asdict`` did
+    (cache entries and artifacts stay byte-identical), so a field added
+    to ``LitmusPoint`` or ``LitmusOutcome`` without a codec update fails
+    here.
+    """
+
+    @pytest.mark.parametrize("kind", ["probe", "crash", "fault", "storm",
+                                      "error"])
+    def test_payload_matches_asdict_and_roundtrips(self, kind):
+        import dataclasses
+        import json
+
+        from repro.litmus.explorer import (_outcome_from_dict,
+                                           _outcome_to_dict)
+
+        out = execute_litmus_point(_codec_points()[kind])
+        assert bool(out.error) == (kind == "error")
+        reference = dataclasses.asdict(out)
+        reference["point"]["design"] = out.point.design.value
+        payload = _outcome_to_dict(out)
+        assert json.dumps(payload) == json.dumps(reference)
+        assert _outcome_from_dict(payload) == out
 
 
 class TestCrashWindowCoverage:
