@@ -15,22 +15,21 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-import time
 
 from repro.common.errors import ConfigError
-from repro.common.log import add_log_flags, apply_log_flags, get_logger
-from repro.config import Design
+from repro.common.log import apply_log_flags, get_logger
 from repro.faults.models import (
-    FAULT_MODELS, MultiFault, TornDataWrite, TornLogWrite, fault_from_dict,
-    resolve_inapplicable,
+    FAULT_MODELS, FaultInjector, MultiFault, TornDataWrite, TornLogWrite,
+    fault_from_dict, resolve_inapplicable,
 )
 from repro.faults.sweep import (
     FAULT_DESIGNS, FAULT_WORKLOADS, fault_grid, fault_sweep,
 )
-from repro.harness.cache import ResultCache
-from repro.harness.campaign import Campaign
-from repro.harness.report import select_only, write_artifact
-from repro.harness.supervise import RetryPolicy
+from repro.harness.report import select_only
+from repro.harness.sweep_cli import (
+    DEFAULT_GRID, add_campaign_flags, parse_axis, parse_designs, parse_grid,
+    parse_seeds, run_sweep,
+)
 
 log = get_logger("faults")
 
@@ -103,10 +102,6 @@ def render_model_listing() -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    from repro.harness.__main__ import _parse_grid
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness faults",
         description="Inject partial failures (controller loss, torn log/"
@@ -114,22 +109,23 @@ def main(argv: list[str] | None = None) -> int:
                     "rot, correlated power loss) and check recovery "
                     "behaviour across the designs.",
     )
-    parser.add_argument("--faults", default=None,
+    parser.add_argument("--faults", type=parse_axis, default=None,
                         help="fault models to inject (comma-separated; "
                              "default: all)")
     parser.add_argument("--only", default=None, metavar="NAME",
                         help="run only fault models whose name matches "
                              "(exact or case-insensitive substring)")
-    parser.add_argument("--designs",
+    parser.add_argument("--designs", type=parse_designs,
                         default=",".join(d.value for d in FAULT_DESIGNS),
                         help="designs to check (comma-separated)")
-    parser.add_argument("--workloads", default=",".join(FAULT_WORKLOADS),
+    parser.add_argument("--workloads", type=parse_axis,
+                        default=",".join(FAULT_WORKLOADS),
                         help="workloads to run (comma-separated)")
-    parser.add_argument("--crash-grid", type=_parse_grid,
-                        default=range(2_000, 30_001, 4_000),
+    parser.add_argument("--crash-grid", type=parse_grid,
+                        default=DEFAULT_GRID,
                         help="injection points as start:stop:step "
                              "(default 2000:30000:4000)")
-    parser.add_argument("--seeds", default="7",
+    parser.add_argument("--seeds", type=parse_seeds, default="7",
                         help="seeds (comma-separated; default 7)")
     parser.add_argument("--torn-seed", type=int, default=None,
                         metavar="SEED",
@@ -145,29 +141,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="recover through a seeded crash storm "
                              "(recovery repeatedly interrupted mid-pass "
                              "until it converges to a fixpoint)")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="worker processes (0 = one per CPU; default 1)")
-    parser.add_argument("--max-retries", type=int, default=2,
-                        help="re-runs of a point after a worker "
-                             "death/hang before it is quarantined "
-                             "(default 2)")
-    parser.add_argument("--task-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="soft per-point deadline; a worker stuck "
-                             "longer is killed and the point retried "
-                             "(default: per-kind)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the on-disk result cache")
-    parser.add_argument("--cache-dir", default=None,
-                        help="result cache directory")
+    add_campaign_flags(parser)
     parser.add_argument("--out", default="fault_verdicts.json",
                         help="verdict + recovery-cost artifact path "
                              "(default fault_verdicts.json)")
-    parser.add_argument("--progress", action="store_true",
-                        help="live one-line batch progress on stderr")
-    parser.add_argument("--fabric-log", default=None, metavar="PATH",
-                        help="append campaign-fabric telemetry events "
-                             "(dispatch/retry/quarantine/cache) as JSONL")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="also trace one fault point (see "
                              "--trace-point) to Chrome-trace JSON")
@@ -178,7 +155,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--list", action="store_true",
                         help="list fault models (with parameters) and exit")
     add_fault_policy_flags(parser)
-    add_log_flags(parser)
     args = parser.parse_args(argv)
     apply_log_flags(args)
 
@@ -186,9 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         print(render_model_listing())
         return 0
 
-    kinds = sorted(FAULT_MODELS)
-    if args.faults:
-        kinds = [k for k in args.faults.split(",") if k]
+    kinds = args.faults or sorted(FAULT_MODELS)
     if args.only is not None:
         kinds = select_only(kinds, args.only)
         if not kinds:
@@ -210,18 +184,13 @@ def main(argv: list[str] | None = None) -> int:
                          "torn-data-write model in the selected set")
         models = seeded
 
-    try:
-        designs = [Design(d) for d in args.designs.split(",") if d]
-    except ValueError:
-        parser.error(f"--designs must be drawn from "
-                     f"{','.join(d.value for d in Design)}")
     # Historical default: an explicit request must not be silently
     # narrowed (strict), the implicit default set sheds inapplicable
     # models with a warning.  The shared policy flags override both.
     strict = args.strict_faults if args.strict_faults is not None \
         else explicit
     try:
-        models, dropped = resolve_inapplicable(models, designs,
+        models, dropped = resolve_inapplicable(models, args.designs,
                                                strict=strict)
     except ConfigError as exc:
         parser.error(str(exc))
@@ -230,20 +199,11 @@ def main(argv: list[str] | None = None) -> int:
     if not models:
         parser.error("no applicable fault models remain for the "
                      "selected designs")
-    workloads = [w for w in args.workloads.split(",") if w]
-    if not workloads:
-        parser.error("--workloads must name at least one workload")
-    try:
-        seeds = [int(s) for s in args.seeds.split(",") if s]
-    except ValueError:
-        parser.error(f"--seeds must be comma-separated integers, "
-                     f"got {args.seeds!r}")
-    if not seeds:
-        parser.error("--seeds must name at least one seed")
 
-    specs = fault_grid(designs=designs, workloads=workloads, models=models,
-                       crash_cycles=args.crash_grid, seeds=seeds,
-                       checksums=args.checksums, storm=args.storm)
+    specs = fault_grid(designs=args.designs, workloads=args.workloads,
+                       models=models, crash_cycles=args.crash_grid,
+                       seeds=args.seeds, checksums=args.checksums,
+                       storm=args.storm)
     if not specs:
         parser.error("the requested (design x fault) combinations are all "
                      "inapplicable — nothing to run")
@@ -254,23 +214,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--trace-point {trace_index} out of range "
                      f"(matrix has {len(specs)} points)")
 
-    if args.max_retries < 0:
-        parser.error("--max-retries must be >= 0")
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        parser.error("--task-timeout must be > 0")
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    campaign = Campaign(jobs=args.jobs, cache=cache,
-                        retry=RetryPolicy(max_retries=args.max_retries,
-                                          task_timeout=args.task_timeout),
-                        telemetry_log=args.fabric_log,
-                        progress=args.progress)
-    start = time.time()
-    try:
-        sweep = fault_sweep(campaign, specs)
-    finally:
-        campaign.close()
-    if args.trace is not None:
-        from repro.faults.models import FaultInjector
+    def trace() -> None:
         from repro.obs.cli import trace_crash_spec
 
         chosen = specs[trace_index]
@@ -280,14 +224,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"trace written: {args.trace} ({events} events; "
               f"fault point {trace_index})", file=sys.stderr)
-    print(sweep.render())
-    print(f"({time.time() - start:.1f}s, {campaign.computed} computed, "
-          f"{cache.hits if cache is not None else 0} cached)")
-    payload = sweep.to_json()
-    payload["campaign"] = campaign.metrics
-    write_artifact(args.out, payload)
-    print(f"wrote {args.out}")
-    return min(len(sweep.failures), 255)
+
+    status, _sweep = run_sweep(
+        args, lambda campaign: fault_sweep(campaign, specs), trace)
+    return status
 
 
 if __name__ == "__main__":

@@ -36,34 +36,37 @@ points, capped at 255 (0 = every crash recovered consistently).
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 
-from repro.common.log import add_log_flags, apply_log_flags
+from repro.common.log import apply_log_flags
 from repro.config import Design
 from repro.harness.cache import ResultCache
 from repro.harness.campaign import (
-    CRASH_DESIGNS, CRASH_WORKLOADS, Campaign, crash_grid, crash_sweep,
+    CRASH_DESIGNS, CRASH_WORKLOADS, crash_grid, crash_sweep,
 )
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.report import format_markdown
-from repro.harness.supervise import RetryPolicy
+from repro.harness.sweep_cli import (
+    DEFAULT_GRID, add_campaign_flags, at_least, open_campaign, parse_axis,
+    parse_designs, parse_grid, parse_seeds, run_sweep,
+)
 
-
-def _parse_grid(text: str) -> range:
-    """``start:stop:step`` -> inclusive-stop range of crash cycles."""
-    try:
-        start, stop, step = (int(part) for part in text.split(":"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected start:stop:step, got {text!r}"
-        ) from None
-    if step <= 0 or start > stop:
-        # An empty grid would make the sweep vacuously pass.
-        raise argparse.ArgumentTypeError(
-            f"grid {text!r} is empty: need start <= stop and step > 0"
-        )
-    return range(start, stop + 1, step)
+#: Subcommand -> (module whose ``main`` runs it, ``--list`` summary).
+#: Each measures, checks or explains the simulator rather than
+#: reproducing a figure, so each keeps its own parser.
+SUBCOMMANDS = {
+    "perf": ("repro.harness.perf", "kernel events/sec benchmark"),
+    "litmus": ("repro.litmus.cli", "crash-consistency litmus catalog"),
+    "faults": ("repro.faults.cli",
+               "fault-injection matrix + recovery analytics"),
+    "trace": ("repro.obs.cli", "transaction-lifecycle Chrome-trace export"),
+    "analyze": ("repro.obs.analyze", "per-transaction latency "
+                "decomposition + cross-design differential"),
+    "dash": ("repro.obs.dash",
+             "self-contained HTML dashboard over artifacts"),
+}
 
 
 def render_listing() -> str:
@@ -74,13 +77,8 @@ def render_listing() -> str:
     lines = ["experiments (--experiment NAME):"]
     lines += [f"  {name}" for name in sorted(EXPERIMENTS)]
     lines.append("subcommands:")
-    lines.append("  perf    kernel events/sec benchmark")
-    lines.append("  litmus  crash-consistency litmus catalog")
-    lines.append("  faults  fault-injection matrix + recovery analytics")
-    lines.append("  trace   transaction-lifecycle Chrome-trace export")
-    lines.append("  analyze per-transaction latency decomposition + "
-                 "cross-design differential")
-    lines.append("  dash    self-contained HTML dashboard over artifacts")
+    lines += [f"  {name:<8}{summary}"
+              for name, (_module, summary) in SUBCOMMANDS.items()]
     # The litmus workload is deliberately absent here: it needs a
     # ``program`` and only runs through the litmus subcommand.
     lines.append("workloads (--workloads for --crash-sweep):")
@@ -106,43 +104,9 @@ def render_listing() -> str:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "perf":
-        # The kernel perf benchmark is its own subcommand: it measures
-        # the simulator rather than reproducing the paper's figures.
-        from repro.harness.perf import main as perf_main
-
-        return perf_main(argv[1:])
-    if argv and argv[0] == "litmus":
-        # Declarative crash-consistency litmus scenarios (its own
-        # subcommand: a correctness checker, not a figure experiment).
-        from repro.litmus.cli import main as litmus_main
-
-        return litmus_main(argv[1:])
-    if argv and argv[0] == "faults":
-        # Partial-failure injection + recovery-time analytics (its own
-        # subcommand: a robustness checker, not a figure experiment).
-        from repro.faults.cli import main as faults_main
-
-        return faults_main(argv[1:])
-    if argv and argv[0] == "trace":
-        # Transaction-lifecycle tracing of one simulated machine to
-        # Chrome-trace/Perfetto JSON (an observability tool, not a
-        # figure experiment).
-        from repro.obs.cli import main as trace_main
-
-        return trace_main(argv[1:])
-    if argv and argv[0] == "analyze":
-        # Fold lifecycle traces into per-transaction latency
-        # decompositions with cross-design differentials.
-        from repro.obs.analyze import main as analyze_main
-
-        return analyze_main(argv[1:])
-    if argv and argv[0] == "dash":
-        # Aggregate harness artifacts into one self-contained HTML
-        # dashboard (no network references).
-        from repro.obs.dash import main as dash_main
-
-        return dash_main(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        module = importlib.import_module(SUBCOMMANDS[argv[0]][0])
+        return module.main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
         description="Regenerate ATOM (HPCA 2017) evaluation results.",
@@ -158,47 +122,28 @@ def main(argv: list[str] | None = None) -> int:
                         help="transaction-count scale factor (default 1.0)")
     parser.add_argument("--markdown", action="store_true",
                         help="emit markdown tables")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="worker processes (0 = one per CPU; default 1)")
-    parser.add_argument("--max-retries", type=int, default=2,
-                        help="re-runs of a point after a worker "
-                             "death/hang before it is quarantined "
-                             "(default 2)")
-    parser.add_argument("--task-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="soft per-point deadline; a worker stuck "
-                             "longer is killed and the point retried "
-                             "(default: per-kind)")
-    parser.add_argument("--seeds", type=int, default=1,
+    parser.add_argument("--seeds", type=at_least(int, 1), default=1,
                         help="seeds per point, reported as the mean "
                              "(default 1)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the on-disk result cache")
-    parser.add_argument("--cache-dir", default=None,
-                        help="result cache directory (default "
-                             "$REPRO_CACHE_DIR or ~/.cache/repro-campaign)")
+    add_campaign_flags(parser)
     parser.add_argument("--wipe-cache", action="store_true",
                         help="delete all cached results, then continue "
                              "(or exit if nothing else was requested)")
     parser.add_argument("--crash-sweep", action="store_true",
                         help="run the exhaustive differential crash matrix "
                              "instead of figure experiments")
-    parser.add_argument("--workloads", default=",".join(CRASH_WORKLOADS),
+    parser.add_argument("--workloads", type=parse_axis,
+                        default=",".join(CRASH_WORKLOADS),
                         help="crash-sweep workloads (comma-separated)")
-    parser.add_argument("--designs",
+    parser.add_argument("--designs", type=parse_designs,
                         default=",".join(d.value for d in CRASH_DESIGNS),
                         help="crash-sweep designs (comma-separated)")
-    parser.add_argument("--crash-grid", type=_parse_grid,
-                        default=range(2_000, 30_001, 4_000),
+    parser.add_argument("--crash-grid", type=parse_grid,
+                        default=DEFAULT_GRID,
                         help="crash cycles as start:stop:step "
                              "(default 2000:30000:4000)")
-    parser.add_argument("--crash-seeds", default="7",
+    parser.add_argument("--crash-seeds", type=parse_seeds, default="7",
                         help="crash-sweep seeds (comma-separated)")
-    parser.add_argument("--progress", action="store_true",
-                        help="live one-line batch progress on stderr")
-    parser.add_argument("--fabric-log", default=None, metavar="PATH",
-                        help="append campaign-fabric telemetry events "
-                             "(dispatch/retry/quarantine/cache) as JSONL")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="with --crash-sweep: also trace one sweep "
                              "point (see --trace-point) to Chrome-trace "
@@ -214,20 +159,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--list", action="store_true",
                         help="list experiments, workloads, designs and "
                              "litmus tests, then exit")
-    add_log_flags(parser)
     args = parser.parse_args(argv)
     apply_log_flags(args)
     if args.list:
         print(render_listing())
         return 0
-    if args.jobs < 0:
-        parser.error("--jobs must be >= 0")
-    if args.seeds < 1:
-        parser.error("--seeds must be >= 1")
-    if args.max_retries < 0:
-        parser.error("--max-retries must be >= 0")
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        parser.error("--task-timeout must be > 0")
     if args.trace is not None and not args.crash_sweep:
         parser.error("--trace here requires --crash-sweep; trace a plain "
                      "run with the trace subcommand instead")
@@ -237,67 +173,37 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--out here requires --crash-sweep (experiments "
                      "print tables; artifacts come from the sweep)")
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
     if args.wipe_cache:
-        wiped = (cache if cache is not None
-                 else ResultCache(args.cache_dir)).wipe()
-        print(f"wiped {wiped} cached results")
+        print(f"wiped {ResultCache(args.cache_dir).wipe()} cached results")
         if not (args.all or args.experiment or args.crash_sweep):
             return 0
-    campaign = Campaign(
-        jobs=args.jobs, seeds=args.seeds, cache=cache,
-        retry=RetryPolicy(max_retries=args.max_retries,
-                          task_timeout=args.task_timeout),
-        telemetry_log=args.fabric_log, progress=args.progress,
-    )
 
     if args.crash_sweep:
-        try:
-            designs = [Design(d) for d in args.designs.split(",") if d]
-        except ValueError:
-            parser.error(
-                f"--designs must be drawn from "
-                f"{','.join(d.value for d in Design)}"
-            )
-        specs = crash_grid(
-            designs=designs,
-            workloads=[w for w in args.workloads.split(",") if w],
-            crash_cycles=args.crash_grid,
-            seeds=[int(s) for s in args.crash_seeds.split(",") if s],
-        )
+        specs = crash_grid(designs=args.designs, workloads=args.workloads,
+                           crash_cycles=args.crash_grid,
+                           seeds=args.crash_seeds)
         trace_index = args.trace_point or 0
         if args.trace is not None and not 0 <= trace_index < len(specs):
             parser.error(f"--trace-point {trace_index} out of range "
                          f"(sweep has {len(specs)} points)")
-        start = time.time()
-        try:
-            sweep = crash_sweep(campaign, specs)
-        finally:
-            campaign.close()
-        if args.trace is not None and specs:
+
+        def trace() -> None:
             from repro.obs.cli import trace_crash_spec
 
             events = trace_crash_spec(specs[trace_index], args.trace)
             print(f"trace written: {args.trace} ({events} events; "
                   f"sweep point {trace_index})", file=sys.stderr)
-        print(sweep.render())
-        print(f"({time.time() - start:.1f}s, {campaign.computed} computed, "
-              f"{cache.hits if cache is not None else 0} cached)")
-        if args.out is not None:
-            from repro.harness.report import write_artifact
 
-            payload = sweep.to_json()
-            payload["campaign"] = campaign.metrics
-            write_artifact(args.out, payload)
-            print(f"wrote {args.out}")
-        # Exit status: number of divergent points, capped so a large
-        # failure count can never wrap to 0 through the 8-bit exit code.
-        return min(len(sweep.failures), 255)
+        status, _sweep = run_sweep(
+            args, lambda campaign: crash_sweep(campaign, specs), trace,
+            seeds=args.seeds)
+        return status
 
     names = sorted(EXPERIMENTS) if args.all else args.experiment
     if not names:
         parser.error("pass --all, at least one --experiment, "
                      "--crash-sweep, or --wipe-cache")
+    campaign = open_campaign(args, seeds=args.seeds)
     try:
         for name in names:
             start = time.time()

@@ -18,68 +18,108 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
-from repro.common.log import add_log_flags, apply_log_flags, get_logger
-from repro.config import Design
-from repro.harness.cache import ResultCache
-from repro.harness.campaign import Campaign
-from repro.harness.report import select_only, write_artifact
-from repro.harness.supervise import RetryPolicy
+from repro.common.log import apply_log_flags, get_logger
+from repro.faults.cli import add_fault_policy_flags
+from repro.harness.report import select_only
+from repro.harness.sweep_cli import (
+    add_campaign_flags, at_least, parse_axis, parse_designs, parse_seeds,
+    run_sweep,
+)
 from repro.litmus.catalog import catalog_by_name
 from repro.litmus.explorer import LITMUS_DESIGNS, explore
 
 log = get_logger("litmus")
 
 
-def _add_obs_flags(parser) -> None:
-    parser.add_argument("--progress", action="store_true",
-                        help="live one-line batch progress on stderr")
-    parser.add_argument("--fabric-log", default=None, metavar="PATH",
-                        help="append campaign-fabric telemetry events "
-                             "(dispatch/retry/quarantine/cache) as JSONL")
+def _build_parser(gen: bool) -> argparse.ArgumentParser:
+    """The ``litmus`` parser, or the ``litmus gen`` one with ``gen``."""
+    if gen:
+        parser = argparse.ArgumentParser(
+            prog="python -m repro.harness litmus gen",
+            description="Generate a seeded batch of litmus programs and "
+                        "explore their crash grids with crash-window "
+                        "coverage accounting.",
+        )
+        parser.add_argument("--count", type=at_least(int, 1), default=20,
+                            help="programs in the batch (default 20)")
+        parser.add_argument("--seed", type=int, default=1,
+                            help="generator seed (default 1); the same "
+                                 "(seed, index) always yields the same "
+                                 "program")
+    else:
+        parser = argparse.ArgumentParser(
+            prog="python -m repro.harness litmus",
+            description="Check declarative crash-consistency litmus "
+                        "scenarios across the designs.",
+        )
+        parser.add_argument("--tests", type=parse_axis, default=None,
+                            help="comma-separated catalog test names "
+                                 "(default: all)")
+        parser.add_argument("--only", default=None, metavar="NAME",
+                            help="run only tests whose name matches (exact "
+                                 "name or case-insensitive substring); "
+                                 "composes with --tests")
+        parser.set_defaults(require_coverage=False)
+    parser.add_argument("--faults", type=parse_axis, default=None,
+                        help="also replay each cell's crash grid under "
+                             "these fault models (comma-separated; "
+                             "consistency-preserving models only; a+b "
+                             "composes, e.g. "
+                             "controller-loss+torn-log-write)")
+    parser.add_argument("--designs", type=parse_designs,
+                        default=",".join(d.value for d in LITMUS_DESIGNS),
+                        help="designs to check (comma-separated)")
+    points = 4 if gen else 10
+    parser.add_argument("--points", type=at_least(int, 1), default=points,
+                        help=f"crash points per test x design cell "
+                             f"(default {points})")
+    parser.add_argument("--densify", type=at_least(int, 0), default=0,
+                        metavar="ROUNDS",
+                        help="after the uniform grid, bisect the crash "
+                             "axis around outcome transitions for up to "
+                             "ROUNDS rounds (default 0: off)")
+    parser.add_argument("--seeds", type=parse_seeds, default="7",
+                        help="simulator seeds (comma-separated; default 7)")
+    parser.add_argument("--storm", type=int, default=None, metavar="SEED",
+                        help="recover every grid point through a seeded "
+                             "crash storm (recovery repeatedly "
+                             "interrupted mid-pass until it converges)")
+    add_campaign_flags(parser)
+    out = "litmus_gen_verdicts.json" if gen else "litmus_verdicts.json"
+    parser.add_argument("--out", default=out,
+                        help=f"verdict artifact path (default {out})")
+    if gen:
+        parser.add_argument("--require-coverage", action="store_true",
+                            help="fail if any instrumented crash window "
+                                 "got zero hits across the whole batch")
+    parser.add_argument("--list", action="store_true",
+                        help="print the generated programs and exit" if gen
+                        else "list catalog tests and exit")
+    add_fault_policy_flags(parser)
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="also trace the first (test x design) cell "
                              "to Chrome-trace JSON")
-    add_log_flags(parser)
+    return parser
 
 
-def _trace_first_cell(args, tests, designs, seeds) -> None:
+def _trace_first_cell(args, tests) -> None:
     """``--trace``: trace the batch's first cell (probe run) inline."""
     from repro.litmus.explorer import LitmusPoint, execute_litmus_point
     from repro.obs.trace import Tracer
 
     tracer = Tracer()
-    point = LitmusPoint(test=tests[0].to_dict(), design=designs[0],
-                        crash_cycle=None, seed=seeds[0])
+    test, design = tests[0], args.designs[0]
+    point = LitmusPoint(test=test.to_dict(), design=design,
+                        crash_cycle=None, seed=args.seeds[0])
     execute_litmus_point(point, instrument=tracer.install)
     events = tracer.write(args.trace)
     print(f"trace written: {args.trace} ({events} events; "
-          f"{tests[0].name} x {designs[0].value} probe)", file=sys.stderr)
+          f"{test.name} x {design.value} probe)", file=sys.stderr)
 
 
-def _add_supervision_flags(parser) -> None:
-    parser.add_argument("--max-retries", type=int, default=2,
-                        help="re-runs of a point after a worker "
-                             "death/hang before it is quarantined "
-                             "(default 2)")
-    parser.add_argument("--task-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="soft per-point deadline; a worker stuck "
-                             "longer is killed and the point retried "
-                             "(default: per-kind)")
-
-
-def _retry_policy(parser, args) -> RetryPolicy:
-    if args.max_retries < 0:
-        parser.error("--max-retries must be >= 0")
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        parser.error("--task-timeout must be > 0")
-    return RetryPolicy(max_retries=args.max_retries,
-                       task_timeout=args.task_timeout)
-
-
-def _parse_faults(parser, raw: str, designs, *, strict: bool = True) -> list:
+def _parse_faults(parser, kinds: list[str], designs, *,
+                  strict: bool = True) -> list:
     """Parse ``--faults`` kinds (incl. ``a+b`` composites) and reject
     detection-only models; inapplicable models follow the shared
     strict/drop policy (:func:`repro.faults.models.resolve_inapplicable`
@@ -88,7 +128,7 @@ def _parse_faults(parser, raw: str, designs, *, strict: bool = True) -> list:
     from repro.faults.models import fault_from_dict, resolve_inapplicable
 
     faults = []
-    for kind in (k for k in raw.split(",") if k):
+    for kind in kinds:
         try:
             faults.append(fault_from_dict({"kind": kind}))
         except ConfigError as exc:
@@ -114,12 +154,29 @@ def _parse_faults(parser, raw: str, designs, *, strict: bool = True) -> list:
     return faults
 
 
-def _parse_designs(parser, raw: str) -> list[Design]:
-    try:
-        return [Design(d) for d in raw.split(",") if d]
-    except ValueError:
-        parser.error(f"--designs must be drawn from "
-                     f"{','.join(d.value for d in Design)}")
+def _explore(parser, args, tests) -> int:
+    """Explore ``tests`` with the parsed flags, report, return the status."""
+    # Historical litmus default: strict.  The shared policy flags
+    # override it exactly as they do for the faults subcommand.
+    strict = args.strict_faults if args.strict_faults is not None else True
+    faults = _parse_faults(parser, args.faults, args.designs,
+                           strict=strict) if args.faults else []
+    status, report = run_sweep(
+        args,
+        lambda campaign: explore(
+            campaign, tests=tests, designs=args.designs, seeds=args.seeds,
+            points=args.points, faults=faults, densify=args.densify,
+            storm=args.storm,
+        ),
+        lambda: _trace_first_cell(args, tests),
+    )
+    if args.require_coverage and report.uncovered_windows:
+        print("uncovered crash windows: "
+              + ", ".join(report.uncovered_windows)
+              + " — widen the batch (--count/--points/--densify) until "
+                "every instrumented window is hit", file=sys.stderr)
+        status = max(status, 1)
+    return status
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -127,54 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "gen":
         return gen_main(argv[1:])
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness litmus",
-        description="Check declarative crash-consistency litmus scenarios "
-                    "across the designs.",
-    )
-    parser.add_argument("--tests", default=None,
-                        help="comma-separated catalog test names "
-                             "(default: all)")
-    parser.add_argument("--only", default=None, metavar="NAME",
-                        help="run only tests whose name matches (exact "
-                             "name or case-insensitive substring); "
-                             "composes with --tests")
-    parser.add_argument("--faults", default=None,
-                        help="also replay each cell's crash grid under "
-                             "these fault models (comma-separated; "
-                             "consistency-preserving models only, e.g. "
-                             "controller-loss,torn-log-write)")
-    parser.add_argument("--designs",
-                        default=",".join(d.value for d in LITMUS_DESIGNS),
-                        help="designs to check (comma-separated)")
-    parser.add_argument("--points", type=int, default=10,
-                        help="crash points per test x design cell "
-                             "(default 10)")
-    parser.add_argument("--densify", type=int, default=0, metavar="ROUNDS",
-                        help="after the uniform grid, bisect the crash "
-                             "axis around outcome transitions for up to "
-                             "ROUNDS rounds (default 0: off)")
-    parser.add_argument("--seeds", default="7",
-                        help="seeds (comma-separated; default 7)")
-    parser.add_argument("--storm", type=int, default=None, metavar="SEED",
-                        help="recover every grid point through a seeded "
-                             "crash storm (recovery repeatedly "
-                             "interrupted mid-pass until it converges)")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="worker processes (0 = one per CPU; default 1)")
-    _add_supervision_flags(parser)
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the on-disk result cache")
-    parser.add_argument("--cache-dir", default=None,
-                        help="result cache directory")
-    parser.add_argument("--out", default="litmus_verdicts.json",
-                        help="verdict artifact path "
-                             "(default litmus_verdicts.json)")
-    parser.add_argument("--list", action="store_true",
-                        help="list catalog tests and exit")
-    from repro.faults.cli import add_fault_policy_flags
-    add_fault_policy_flags(parser)
-    _add_obs_flags(parser)
+    parser = _build_parser(gen=False)
     args = parser.parse_args(argv)
     apply_log_flags(args)
 
@@ -186,11 +196,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.tests:
-        unknown = [t for t in args.tests.split(",") if t and t not in catalog]
+        unknown = [t for t in args.tests if t not in catalog]
         if unknown:
             parser.error(f"unknown tests {','.join(unknown)} "
                          f"(see --list)")
-        tests = [catalog[t] for t in args.tests.split(",") if t]
+        tests = [catalog[t] for t in args.tests]
     else:
         tests = list(catalog.values())
     if args.only is not None:
@@ -199,122 +209,16 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--only {args.only!r} matches no test "
                          f"(see --list)")
         tests = [t for t in tests if t.name in selected]
-    designs = _parse_designs(parser, args.designs)
-    # Historical litmus default: strict.  The shared policy flags
-    # override it exactly as they do for the faults subcommand.
-    strict = args.strict_faults if args.strict_faults is not None else True
-    faults = _parse_faults(parser, args.faults, designs, strict=strict) \
-        if args.faults else []
-    if args.points < 1:
-        parser.error("--points must be >= 1")
-    if args.densify < 0:
-        parser.error("--densify must be >= 0")
-    try:
-        seeds = [int(s) for s in args.seeds.split(",") if s]
-    except ValueError:
-        parser.error(f"--seeds must be comma-separated integers, "
-                     f"got {args.seeds!r}")
-    if not seeds:
-        # An empty seed list would run zero points and "pass" vacuously.
-        parser.error("--seeds must name at least one seed")
-
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    campaign = Campaign(jobs=args.jobs, cache=cache,
-                        retry=_retry_policy(parser, args),
-                        telemetry_log=args.fabric_log,
-                        progress=args.progress)
-    start = time.time()
-    try:
-        report = explore(campaign, tests=tests, designs=designs,
-                         seeds=seeds, points=args.points, faults=faults,
-                         densify=args.densify, storm=args.storm)
-    finally:
-        campaign.close()
-    if args.trace is not None:
-        _trace_first_cell(args, tests, designs, seeds)
-    print(report.render())
-    print(f"({time.time() - start:.1f}s, {campaign.computed} computed, "
-          f"{cache.hits if cache is not None else 0} cached)")
-    payload = report.to_json()
-    payload["campaign"] = campaign.metrics
-    write_artifact(args.out, payload)
-    print(f"wrote {args.out}")
-    return min(len(report.failures), 255)
+    return _explore(parser, args, tests)
 
 
 def gen_main(argv: list[str]) -> int:
     """``litmus gen`` — explore a seeded generated batch with coverage."""
     from repro.litmus.generator import GeneratorParams, generate
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness litmus gen",
-        description="Generate a seeded batch of litmus programs and "
-                    "explore their crash grids with crash-window "
-                    "coverage accounting.",
-    )
-    parser.add_argument("--count", type=int, default=20,
-                        help="programs in the batch (default 20)")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="generator seed (default 1); the same "
-                             "(seed, index) always yields the same "
-                             "program")
-    parser.add_argument("--faults", default=None,
-                        help="also replay each cell's crash grid under "
-                             "these fault models (comma-separated kinds; "
-                             "a+b composes, e.g. "
-                             "controller-loss+torn-log-write)")
-    parser.add_argument("--designs",
-                        default=",".join(d.value for d in LITMUS_DESIGNS),
-                        help="designs to check (comma-separated)")
-    parser.add_argument("--points", type=int, default=4,
-                        help="crash points per cell (default 4)")
-    parser.add_argument("--densify", type=int, default=0, metavar="ROUNDS",
-                        help="bisection rounds around outcome transitions "
-                             "(default 0: off)")
-    parser.add_argument("--seeds", default="7",
-                        help="simulator seeds (comma-separated; default 7)")
-    parser.add_argument("--storm", type=int, default=None, metavar="SEED",
-                        help="recover every grid point through a seeded "
-                             "crash storm (recovery repeatedly "
-                             "interrupted mid-pass until it converges)")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="worker processes (0 = one per CPU; default 1)")
-    _add_supervision_flags(parser)
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the on-disk result cache")
-    parser.add_argument("--cache-dir", default=None,
-                        help="result cache directory")
-    parser.add_argument("--out", default="litmus_gen_verdicts.json",
-                        help="verdict artifact path "
-                             "(default litmus_gen_verdicts.json)")
-    parser.add_argument("--require-coverage", action="store_true",
-                        help="fail if any instrumented crash window got "
-                             "zero hits across the whole batch")
-    parser.add_argument("--list", action="store_true",
-                        help="print the generated programs and exit")
-    from repro.faults.cli import add_fault_policy_flags
-    add_fault_policy_flags(parser)
-    _add_obs_flags(parser)
+    parser = _build_parser(gen=True)
     args = parser.parse_args(argv)
     apply_log_flags(args)
-
-    if args.count < 1:
-        parser.error("--count must be >= 1")
-    if args.points < 1:
-        parser.error("--points must be >= 1")
-    if args.densify < 0:
-        parser.error("--densify must be >= 0")
-    designs = _parse_designs(parser, args.designs)
-    strict = args.strict_faults if args.strict_faults is not None else True
-    faults = _parse_faults(parser, args.faults, designs, strict=strict) \
-        if args.faults else []
-    try:
-        seeds = [int(s) for s in args.seeds.split(",") if s]
-    except ValueError:
-        parser.error(f"--seeds must be comma-separated integers, "
-                     f"got {args.seeds!r}")
-    if not seeds:
-        parser.error("--seeds must name at least one seed")
 
     tests = generate(GeneratorParams(count=args.count, seed=args.seed))
     if args.list:
@@ -323,36 +227,7 @@ def gen_main(argv: list[str]) -> int:
             print(f"{spec.name.ljust(width)}  {spec.description} "
                   f"({len(spec.allowed)} allowed states)")
         return 0
-
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    campaign = Campaign(jobs=args.jobs, cache=cache,
-                        retry=_retry_policy(parser, args),
-                        telemetry_log=args.fabric_log,
-                        progress=args.progress)
-    start = time.time()
-    try:
-        report = explore(campaign, tests=tests, designs=designs,
-                         seeds=seeds, points=args.points, faults=faults,
-                         densify=args.densify, storm=args.storm)
-    finally:
-        campaign.close()
-    if args.trace is not None:
-        _trace_first_cell(args, tests, designs, seeds)
-    print(report.render())
-    print(f"({time.time() - start:.1f}s, {campaign.computed} computed, "
-          f"{cache.hits if cache is not None else 0} cached)")
-    payload = report.to_json()
-    payload["campaign"] = campaign.metrics
-    write_artifact(args.out, payload)
-    print(f"wrote {args.out}")
-    status = min(len(report.failures), 255)
-    if args.require_coverage and report.uncovered_windows:
-        print("uncovered crash windows: "
-              + ", ".join(report.uncovered_windows)
-              + " — widen the batch (--count/--points/--densify) until "
-                "every instrumented window is hit", file=sys.stderr)
-        status = max(status, 1)
-    return status
+    return _explore(parser, args, tests)
 
 
 if __name__ == "__main__":
