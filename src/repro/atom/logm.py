@@ -42,6 +42,11 @@ from repro.config import LogConfig
 from repro.engine import Engine
 from repro.mem.layout import AddressLayout, RecordAddress
 
+#: Cycles to match a data write's address against the open record
+#: header before it may issue (paper section V: "address match latency
+#: of 1 cycle").
+HEADER_MATCH_CYCLES = 1
+
 
 class _EntryPersist:
     """Completion of one undo-entry data-line write (``__slots__``
@@ -369,14 +374,11 @@ class LogManager:
         """
         line_addr = addr & ~(CACHE_LINE_BYTES - 1)
         if line_addr not in self._locks:
-            self.engine.post(self.cfg_match_cycles(), release)
+            self.engine.post(HEADER_MATCH_CYCLES, release)
             return
         self.stats.add("gated_data_writes")
         self._gate_waiters.setdefault(line_addr, []).append(release)
         self._force_header_for(line_addr)
-
-    def cfg_match_cycles(self) -> int:
-        return 1
 
     def _force_header_for(self, line_addr: int) -> None:
         """Early header flush for a locked line's open record."""
@@ -400,9 +402,8 @@ class LogManager:
         waiters = self._gate_waiters.pop(line_addr, None)
         if not waiters:
             return
-        delay = self.cfg_match_cycles()
         for fn in waiters:
-            self.engine.post(delay, fn)
+            self.engine.post(HEADER_MATCH_CYCLES, fn)
 
     # -- source logging (section III-D) ------------------------------------------------
 

@@ -148,9 +148,6 @@ class MemoryConfig:
     write_drain_watermark: float = 0.75
     #: Data pages are interleaved across controllers at this granularity.
     interleave_bytes: int = 4 * KB
-    #: Cycles to match a data write address against the record header
-    #: (paper section V: "address match latency of 1 cycle").
-    header_match_cycles: int = 1
     #: Maintain a per-data-line checksum plane on the durable image
     #: (modeled ECC metadata).  Off by default: it adds a branch to the
     #: persist hot path and exists for the fault subsystem, whose media
@@ -222,9 +219,6 @@ class RedoConfig:
     #: Victim cache capacity in lines; None models the infinite victim
     #: cache the paper grants the REDO design (section V).
     victim_capacity: int | None = None
-    #: Backend controller batch: how many log lines it reads back per
-    #: committed transaction before applying in-place updates.
-    backend_batch_lines: int = 8
 
 
 @dataclass
@@ -235,8 +229,6 @@ class DebugConfig:
     #: any line written inside an uncommitted atomic update must already
     #: be durable.
     check_invariants: bool = False
-    #: Record a trace of persist operations for post-mortem analysis.
-    trace_persists: bool = False
 
 
 @dataclass

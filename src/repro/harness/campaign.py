@@ -522,30 +522,6 @@ class WorkerPool:
 # -- seed replication ---------------------------------------------------------
 
 
-@dataclass
-class ReplicatedResult:
-    """One spec run at N seeds, with mean/CI summary statistics."""
-
-    spec: RunSpec
-    results: list[RunResult]
-
-    @property
-    def seeds(self) -> int:
-        return len(self.results)
-
-    @property
-    def throughput_mean(self) -> float:
-        return mean_ci([r.throughput for r in self.results])[0]
-
-    @property
-    def throughput_ci(self) -> float:
-        return mean_ci([r.throughput for r in self.results])[1]
-
-    def metric(self, fn) -> tuple[float, float]:
-        """(mean, CI half-width) of ``fn(result)`` across the seeds."""
-        return mean_ci([fn(r) for r in self.results])
-
-
 def aggregate_results(results: Sequence[RunResult]) -> RunResult:
     """Mean-aggregate seed replicas into one representative result.
 
@@ -827,14 +803,6 @@ class Campaign:
 
     def run_one(self, spec: RunSpec) -> RunResult:
         return self.run([spec])[0]
-
-    def run_replicated(self, spec: RunSpec,
-                       seeds: int | None = None) -> ReplicatedResult:
-        """Run ``spec`` at N consecutive seeds; keep per-seed results."""
-        n = seeds if seeds is not None else max(2, self.seeds)
-        points = [replace(spec, seed=spec.seed + k) for k in range(n)]
-        flat = self._map(points, _run_worker, result_from_dict, "run")
-        return ReplicatedResult(spec=spec, results=flat)
 
     # -- crash sweep ----------------------------------------------------------
 

@@ -15,7 +15,7 @@ count, never the machine.
 A committed baseline (``benchmarks/perf/baseline.json``) turns the
 benchmark into a regression gate: ``--baseline`` compares the measured
 aggregate events/sec against the baseline's and exits non-zero when it
-regressed by more than ``--gate-pct`` (default 20%).  The gate compares
+regressed by more than :data:`GATE_PCT` percent.  The gate compares
 aggregates, not points, so per-point jitter on loaded CI machines does
 not flap the build.
 
@@ -27,6 +27,11 @@ geomean combined with the run-to-run ``mean_ci`` of the history window
 — instead of a fixed percentage, so the gate tightens automatically on
 quiet machines and loosens on jittery ones (a small absolute floor
 keeps it from flagging sub-noise wiggles).
+
+The timed runs carry no instrumentation.  A point's stat timeline comes
+from ``python -m repro.harness trace --perf --samples-out``, which runs
+the same pinned machine, and per-layer time from ``python3
+jobbench/run.py --trace 1``.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ import math
 import platform
 import sys
 import time
-from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -46,94 +50,6 @@ from repro.harness.report import mean_ci, write_artifact
 from repro.harness.runner import RunSpec, build_config
 from repro.runtime.system import System
 from repro.workloads import make_workload
-
-#: Module -> model layer, for the ``--profile`` attribution.  Callbacks
-#: are bucketed by the module their code lives in; anything unlisted
-#: lands in "other".
-_LAYER_BY_MODULE = {
-    "repro.engine.event": "engine",
-    "repro.mem.channel": "channel",
-    "repro.mem.controller": "channel",
-    "repro.noc.mesh": "mesh",
-    "repro.coherence.directory": "directory",
-    "repro.coherence.l1": "l1",
-    "repro.coherence.victim": "l1",
-    "repro.atom.logm": "logm/redo",
-    "repro.atom.redo": "logm/redo",
-    "repro.atom.designs": "logm/redo",
-    "repro.cpu.core": "core",
-    "repro.cpu.store_queue": "sq",
-    "repro.cpu.lockmgr": "locks",
-}
-
-
-def _layer_of(fn) -> str:
-    """Model layer of a scheduled callback (function, bound method, or
-    ``__slots__`` continuation object)."""
-    func = getattr(fn, "__func__", None)
-    if func is not None:
-        module = func.__module__
-    else:
-        module = getattr(fn, "__module__", None)
-        if module is None or not hasattr(fn, "__name__"):
-            module = type(fn).__module__
-    return _LAYER_BY_MODULE.get(module, "other")
-
-
-class LayerProfiler:
-    """Per-layer event/wall attribution for one simulation run.
-
-    Every callback scheduled through ``post``/``post_at`` is wrapped
-    with a timing shim at post time and bucketed by the layer its code
-    lives in.  Work a callback performs inline (synchronous completion
-    chains) is charged to the *dispatching* layer — exactly the
-    attribution a flat-tail hunt wants, since the dispatching layer is
-    where the wall-clock is spent.  The shims cost real time, so
-    profiled runs are measured separately and never feed the events/sec
-    figure or the regression gate.
-    """
-
-    def __init__(self, engine):
-        self.engine = engine
-        #: layer -> [events, wall_seconds]
-        self.buckets: dict[str, list] = defaultdict(lambda: [0, 0.0])
-        self._orig_post = engine.post
-        self._orig_post_at = engine.post_at
-        perf_counter = time.perf_counter
-        buckets = self.buckets
-
-        def shim(fn):
-            bucket = buckets[_layer_of(fn)]
-
-            def timed() -> None:
-                start = perf_counter()
-                fn()
-                bucket[1] += perf_counter() - start
-                bucket[0] += 1
-
-            return timed
-
-        engine.post = lambda delay, fn: self._orig_post(delay, shim(fn))
-        engine.post_at = lambda t, fn: self._orig_post_at(t, shim(fn))
-
-    def detach(self) -> None:
-        engine = self.engine
-        engine.post = self._orig_post
-        engine.post_at = self._orig_post_at
-
-    def report(self) -> dict:
-        """``layer -> {events, wall_s, wall_pct}``, largest share first."""
-        total = sum(wall for _, wall in self.buckets.values()) or 1.0
-        return {
-            layer: {
-                "events": events,
-                "wall_s": round(wall, 6),
-                "wall_pct": round(100.0 * wall / total, 2),
-            }
-            for layer, (events, wall) in sorted(
-                self.buckets.items(), key=lambda kv: -kv[1][1]
-            )
-        }
 
 #: The pinned kernel matrix.  Perf numbers are only comparable across
 #: commits because these points never change.
@@ -187,15 +103,11 @@ def perf_specs(scale: float = 1.0) -> list[RunSpec]:
     return specs
 
 
-def measure_point(spec: RunSpec, repeats: int = 1,
-                  profiler_out: dict | None = None) -> PerfPoint:
+def measure_point(spec: RunSpec, repeats: int = 1) -> PerfPoint:
     """Run one point ``repeats`` times; keep the fastest wall-clock.
 
     The timer covers only ``System.run`` — the event loop under test —
-    not system construction or workload setup.  With ``profiler_out``
-    an *extra*, separately-instrumented run attributes events and wall
-    per model layer into it (profiled runs are slower by the shim cost,
-    so they never feed the measured numbers).
+    not system construction or workload setup.
     """
     best: PerfPoint | None = None
     repeat_eps: list[float] = []
@@ -232,57 +144,8 @@ def measure_point(spec: RunSpec, repeats: int = 1,
         # allocation per repeat means the measured run pays its page
         # faults, which both slows and — worse — jitters the numbers.
         system.image.recycle()
-    if profiler_out is not None:
-        system = System(build_config(spec))
-        workload = make_workload(
-            spec.workload, system,
-            entry_bytes=spec.entry_bytes,
-            txns_per_thread=spec.txns_per_thread,
-            threads=spec.threads,
-            initial_items=spec.initial_items,
-            seed=spec.seed,
-            **spec.workload_kw,
-        )
-        workload.setup()
-        system.start_threads(workload.threads())
-        profiler = LayerProfiler(system.engine)
-        try:
-            system.run(max_cycles=spec.max_cycles)
-        finally:
-            profiler.detach()
-        profiler_out.update(profiler.report())
-        system.image.recycle()
     best.repeat_eps = repeat_eps
     return best
-
-
-def sample_point(spec: RunSpec, interval: int) -> dict:
-    """Extra instrumented run producing one point's stat timeline.
-
-    Installs a :class:`repro.obs.sample.StatSampler` on a fresh system
-    and returns its timeline dict (channel occupancy, SQ depth, log
-    writes in flight, throughput deltas).  Sampled runs post real
-    engine events, so — like ``--profile`` runs — they are separate
-    and never feed the measured numbers or the regression gate.
-    """
-    from repro.obs.sample import StatSampler
-
-    system = System(build_config(spec))
-    sampler = StatSampler(system, interval=interval).install()
-    workload = make_workload(
-        spec.workload, system,
-        entry_bytes=spec.entry_bytes,
-        txns_per_thread=spec.txns_per_thread,
-        threads=spec.threads,
-        initial_items=spec.initial_items,
-        seed=spec.seed,
-        **spec.workload_kw,
-    )
-    workload.setup()
-    system.start_threads(workload.threads())
-    system.run(max_cycles=spec.max_cycles)
-    system.image.recycle()
-    return sampler.to_dict()
 
 
 def geomean(values: list[float]) -> float:
@@ -293,31 +156,12 @@ def geomean(values: list[float]) -> float:
     return math.exp(sum(math.log(v) for v in positive) / len(positive))
 
 
-def run_perf(scale: float = 1.0, repeats: int = 1,
-             progress=None, profile: bool = False,
-             sample_interval: int = 0) -> dict:
-    """Run the pinned matrix; return the BENCH_kernel report dict.
-
-    ``profile`` adds a per-point and aggregated per-layer attribution
-    (engine, channel, mesh, directory, l1, sq, core, logm/redo, locks)
-    from separately-instrumented runs, under the report's ``profile``
-    keys — the starting data for the next flat-tail hunt.
-
-    ``sample_interval > 0`` attaches a per-point ``timeline`` (stat
-    deltas every N cycles from an extra sampled run — see
-    :func:`sample_point`).
-    """
+def run_perf(scale: float = 1.0, repeats: int = 1, progress=None) -> dict:
+    """Run the pinned matrix; return the BENCH_kernel report dict."""
     points = []
-    profiles: list[dict] = []
-    timelines: list[dict] = []
     for spec in perf_specs(scale):
-        prof: dict | None = {} if profile else None
-        point = measure_point(spec, repeats=repeats, profiler_out=prof)
+        point = measure_point(spec, repeats=repeats)
         points.append(point)
-        if profile:
-            profiles.append(prof)
-        if sample_interval > 0:
-            timelines.append(sample_point(spec, sample_interval))
         if progress is not None:
             progress(point)
     total_events = sum(p.events for p in points)
@@ -332,7 +176,7 @@ def run_perf(scale: float = 1.0, repeats: int = 1,
     ]
     geo_mean, geo_ci = mean_ci(repeat_geomeans) if repeat_geomeans \
         else (0.0, 0.0)
-    report = {
+    return {
         "schema": 1,
         "benchmark": "kernel",
         "scale": scale,
@@ -355,35 +199,16 @@ def run_perf(scale: float = 1.0, repeats: int = 1,
             ),
         },
     }
-    if sample_interval > 0:
-        report["sample_interval"] = sample_interval
-        for payload, timeline in zip(report["points"], timelines):
-            payload["timeline"] = timeline
-    if profile:
-        for payload, prof in zip(report["points"], profiles):
-            payload["profile"] = prof
-        merged: dict[str, list] = {}
-        for prof in profiles:
-            for layer, cell in prof.items():
-                bucket = merged.setdefault(layer, [0, 0.0])
-                bucket[0] += cell["events"]
-                bucket[1] += cell["wall_s"]
-        total = sum(wall for _, wall in merged.values()) or 1.0
-        report["profile"] = {
-            layer: {
-                "events": events,
-                "wall_s": round(wall, 6),
-                "wall_pct": round(100.0 * wall / total, 2),
-            }
-            for layer, (events, wall) in sorted(
-                merged.items(), key=lambda kv: -kv[1][1]
-            )
-        }
-    return report
+
+
+#: The fixed baseline gate's margin: ``--baseline`` fails when the
+#: aggregate geomean drops more than this many percent below the
+#: baseline's (see README "Performance", gate math).
+GATE_PCT = 15
 
 
 def check_regression(report: dict, baseline: dict,
-                     gate_pct: float = 20.0) -> list[str]:
+                     gate_pct: float = GATE_PCT) -> list[str]:
     """Compare aggregate events/sec against a baseline report.
 
     Returns a list of human-readable failures (empty = gate passes).
@@ -407,6 +232,13 @@ def check_regression(report: dict, baseline: dict,
 #: Default location of the ledger; one JSON object per line, appended
 #: by ``perf --record`` and read back by ``perf --trend``.
 HISTORY_PATH = "benchmarks/perf/history.jsonl"
+
+#: Ledger entries the trend gate compares against.
+TREND_WINDOW = 10
+
+#: Smallest drop, in percent, the trend gate may flag, so single-entry
+#: and zero-variance histories do not flag measurement wiggle.
+TREND_FLOOR_PCT = 2.0
 
 
 def history_entry(report: dict, *, timestamp: float | None = None) -> dict:
@@ -459,7 +291,8 @@ def load_history(path) -> list[dict]:
 
 
 def check_trend(history: list[dict], report: dict, *,
-                window: int = 10, floor_pct: float = 2.0) -> list[str]:
+                window: int = TREND_WINDOW,
+                floor_pct: float = TREND_FLOOR_PCT) -> list[str]:
     """CI-aware trend gate: flag only statistically-resolvable drops.
 
     Compares the current aggregate geomean against the mean of the last
@@ -490,10 +323,9 @@ def check_trend(history: list[dict], report: dict, *,
     return []
 
 
-def format_trend(history: list[dict], report: dict,
-                 window: int = 10) -> str:
+def format_trend(history: list[dict], report: dict) -> str:
     """One line situating the current run inside the recent history."""
-    entries = [e for e in history[-window:]
+    entries = [e for e in history[-TREND_WINDOW:]
                if isinstance(e.get("geomean"), (int, float))
                and e["geomean"] > 0]
     current = report["aggregate"]["geomean_events_per_sec"]
@@ -522,15 +354,6 @@ def format_report(report: dict, baseline: dict | None = None) -> str:
         f"{ci_note}, "
         f"{agg['total_events']:,} events in {agg['total_wall_s']:.2f}s"
     )
-    profile = report.get("profile")
-    if profile:
-        lines.append("per-layer attribution (instrumented runs):")
-        lines.append("  layer       events      wall     share")
-        for layer, cell in profile.items():
-            lines.append(
-                f"  {layer:<11} {cell['events']:>8,}  {cell['wall_s']:>7.3f}s"
-                f"  {cell['wall_pct']:>5.1f}%"
-            )
     if baseline is not None:
         ref = baseline["aggregate"]["geomean_events_per_sec"]
         if ref > 0:
@@ -554,20 +377,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="output artifact (default BENCH_kernel.json)")
     parser.add_argument("--baseline", default=None,
                         help="baseline BENCH_kernel.json to gate against "
-                             "(e.g. benchmarks/perf/baseline.json)")
-    parser.add_argument("--gate-pct", type=float, default=20.0,
-                        help="max tolerated events/sec regression in "
-                             "percent (default 20)")
-    parser.add_argument("--profile", action="store_true",
-                        help="also run instrumented passes attributing "
-                             "events/wall per model layer (engine, channel, "
-                             "mesh, directory, l1, sq, core, logm/redo) "
-                             "into the artifact and the printed report")
-    parser.add_argument("--sample-interval", type=int, default=0,
-                        metavar="CYCLES",
-                        help="attach a per-point stat timeline sampled "
-                             "every CYCLES cycles from extra instrumented "
-                             "runs (default 0: off)")
+                             "(e.g. benchmarks/perf/baseline.json); fails "
+                             f"on a geomean drop over {GATE_PCT}%%")
     parser.add_argument("--history", default=HISTORY_PATH,
                         metavar="PATH",
                         help="perf history ledger for --record/--trend "
@@ -579,20 +390,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="gate against the recent history using the "
                              "combined measured CI instead of a fixed "
                              "percentage")
-    parser.add_argument("--trend-window", type=int, default=10,
-                        help="history entries the trend gate considers "
-                             "(default 10)")
-    parser.add_argument("--trend-floor-pct", type=float, default=2.0,
-                        help="minimum tolerated drop in percent, so "
-                             "zero-variance histories do not flag noise "
-                             "(default 2.0)")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    if args.sample_interval < 0:
-        parser.error("--sample-interval must be >= 0")
-    if args.trend_window < 1:
-        parser.error("--trend-window must be >= 1")
 
     # Load the baseline *before* the (expensive) benchmark run, and fail
     # with a readable one-liner: a missing or corrupt baseline is an
@@ -621,24 +421,21 @@ def main(argv: list[str] | None = None) -> int:
               f"({point.events:,} events, {point.wall_s:.3f}s)")
 
     report = run_perf(scale=args.scale, repeats=args.repeats,
-                      progress=progress, profile=args.profile,
-                      sample_interval=args.sample_interval)
+                      progress=progress)
     print(format_report(report, baseline))
     write_artifact(args.out, report)
     print(f"wrote {args.out}")
     failures: list[str] = []
     if baseline is not None:
-        failures = check_regression(report, baseline, args.gate_pct)
+        failures = check_regression(report, baseline)
         for failure in failures:
             print(f"PERF REGRESSION: {failure}", file=sys.stderr)
         if not failures:
             print("perf gate: ok")
     if args.trend:
         history = load_history(args.history)
-        print(format_trend(history, report, args.trend_window))
-        trend_failures = check_trend(history, report,
-                                     window=args.trend_window,
-                                     floor_pct=args.trend_floor_pct)
+        print(format_trend(history, report))
+        trend_failures = check_trend(history, report)
         for failure in trend_failures:
             print(f"PERF TREND: {failure}", file=sys.stderr)
         if not trend_failures:

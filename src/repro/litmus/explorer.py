@@ -165,7 +165,7 @@ def execute_litmus_point(point: LitmusPoint, *,
     before the program starts (observability hook: a traced litmus
     cell installs its :class:`~repro.obs.trace.Tracer` here).
     """
-    from repro.harness.testbed import build_litmus_system
+    from repro.harness.testbed import build_litmus_system, finish_crash_run
 
     spec = LitmusSpec.from_dict(point.test)
     try:
@@ -184,18 +184,11 @@ def execute_litmus_point(point: LitmusPoint, *,
             system.crash_at(point.crash_cycle)
         system.run(max_cycles=spec.max_cycles)
         finish = system.engine.now
-        if not system.crashed:
-            # Probe, or the program finished before the scheduled cycle:
-            # cut power now (nothing should roll back).
-            system.crash()
-        if point.storm is not None:
-            from repro.faults.storm import storm_recover
-
-            storm = storm_recover(system, seed=point.storm)
-            report = storm.report
-        else:
-            storm = None
-            report = system.recover()
+        # A probe, or a program that finished before the scheduled
+        # cycle, has its power cut here (nothing should roll back).
+        report = finish_crash_run(system, workload, verify=False,
+                                  storm_seed=point.storm)
+        storm = report.storm
         # Recovery idempotence: a second crash immediately after (or
         # during — nothing volatile matters any more) recovery must
         # leave the durable image byte-identical.

@@ -652,21 +652,6 @@ def _perf_section(name: str, payload: dict) -> str:
                 f"</td></tr>"
             )
         out.append("</table>")
-    profile = payload.get("profile")
-    if profile:
-        out.append("<h3>Per-layer attribution</h3><table><tr>"
-                   "<th>layer</th><th class=\"num\">events</th>"
-                   "<th class=\"num\">wall (s)</th>"
-                   "<th class=\"num\">share</th></tr>")
-        for layer, cell in profile.items():
-            out.append(
-                f"<tr><td>{_esc(layer)}</td>"
-                f"<td class=\"num\">{_num(cell.get('events'))}</td>"
-                f"<td class=\"num\">{_num(cell.get('wall_s'))}</td>"
-                f"<td class=\"num\">{_num(cell.get('wall_pct'))}%</td>"
-                f"</tr>"
-            )
-        out.append("</table>")
     return f"<section>{''.join(out)}</section>"
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import pickle
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -274,15 +275,12 @@ class TestPoolLifecycle:
 
 
 class TestSeeds:
-    def test_run_replicated_distinct_seeds(self, cache):
-        campaign = Campaign(jobs=1, cache=cache)
-        rep = campaign.run_replicated(TINY, seeds=3)
-        assert rep.seeds == 3
-        assert {r.spec.seed for r in rep.results} == \
-            {TINY.seed, TINY.seed + 1, TINY.seed + 2}
-        mean, ci = rep.metric(lambda r: r.throughput)
-        assert mean == pytest.approx(rep.throughput_mean)
-        assert ci >= 0.0
+    def test_seed_replicas_run_at_consecutive_seeds(self, cache):
+        campaign = Campaign(jobs=1, seeds=3, cache=cache)
+        result = campaign.run_one(TINY)
+        expected = [run_spec(replace(TINY, seed=TINY.seed + k)).throughput
+                    for k in range(3)]
+        assert result.stats["campaign"]["throughputs"] == expected
 
     def test_seeds_aggregation_annotates_stats(self, cache):
         campaign = Campaign(jobs=1, seeds=2, cache=cache)

@@ -111,8 +111,6 @@ PERF = {
     "aggregate": {"geomean_events_per_sec": 100000.0,
                   "geomean_mean": 99500.0, "geomean_ci": 980.0,
                   "total_events": 1000, "total_wall_s": 0.01},
-    "profile": {"engine": {"events": 1000, "wall_s": 0.008,
-                           "wall_pct": 80.0}},
 }
 
 HISTORY = [

@@ -107,7 +107,7 @@ class TestMeanCi:
 
 
 class TestCampaignDegenerateSeeds:
-    """mean_ci's consumers: single-seed and zero-variance campaigns."""
+    """mean_ci's consumer in seed aggregation: zero-variance replicas."""
 
     @staticmethod
     def _result(throughput: float):
@@ -120,21 +120,10 @@ class TestCampaignDegenerateSeeds:
                          log_entries=1, source_logged=0, log_writes=1,
                          stats={})
 
-    def test_single_seed_replica_has_zero_ci(self):
-        from repro.harness.campaign import ReplicatedResult
-
-        rep = ReplicatedResult(spec=None, results=[self._result(5.0)])
-        assert rep.throughput_mean == 5.0
-        assert rep.throughput_ci == 0.0
-        assert not math.isnan(rep.throughput_ci)
-
     def test_zero_variance_seeds_have_zero_ci(self):
-        from repro.harness.campaign import (ReplicatedResult,
-                                            aggregate_results)
+        from repro.harness.campaign import aggregate_results
 
         results = [self._result(5.0) for _ in range(3)]
-        rep = ReplicatedResult(spec=None, results=results)
-        assert rep.throughput_ci == 0.0
         agg = aggregate_results(results)
         assert agg.stats["campaign"]["throughput_ci"] == 0.0
         assert not math.isnan(agg.throughput)

@@ -166,6 +166,34 @@ class TestSampler:
             StatSampler(object(), interval=0)
 
 
+class TestTracePerf:
+    """``trace --perf`` is how a pinned perf point gets its timeline."""
+
+    def test_traces_the_machine_the_perf_gate_measures(self, tmp_path,
+                                                        capsys):
+        from repro.harness.perf import measure_point, perf_specs
+        from repro.obs.cli import main
+
+        samples_out = tmp_path / "samples.json"
+        assert main(["--perf", "--design", "atom-opt", "--workload", "hash",
+                     "--scale", "0.25", "--sample-interval", "1000",
+                     "--out", str(tmp_path / "trace.json"),
+                     "--samples-out", str(samples_out)]) == 0
+        line = next(line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("trace written:"))
+        summary = dict(field.split("=", 1) for field in line.split()
+                       if "=" in field)
+        spec = next(s for s in perf_specs(0.25)
+                    if s.design is Design.ATOM_OPT and s.workload == "hash")
+        measured = measure_point(spec)
+        # Cycles and transactions, not events: sampler ticks are engine
+        # events too.
+        assert int(summary["cycles"]) == measured.cycles
+        assert int(summary["txns"]) == measured.txns
+        samples = json.loads(samples_out.read_text())["samples"]
+        assert samples and samples[-1]["cycle"] <= measured.cycles
+
+
 class TestFabricTelemetry:
     def test_counts_are_exact_past_the_event_cap(self):
         from repro.obs import fabric
