@@ -4,7 +4,7 @@ Runs the pinned matrix at a tiny scale and validates the artifact
 schema — NOT the speed (wall-clock on shared CI machines is gated
 separately by the ``perf-smoke`` CI job against
 ``benchmarks/perf/baseline.json``, aggregate-only with a 15% margin:
-``--gate-pct 15``).  The full-scale matrix must reproduce the
+``repro.harness.perf.GATE_PCT``).  The full-scale matrix must reproduce the
 baseline's per-point event, cycle and transaction counts exactly: the
 logical event stream is part of the kernel's contract.
 """

@@ -69,10 +69,19 @@ class AdrAusImage:
         return self.bucket_vec.any()
 
 
-def serialize(aus_list: list[AusState], bucket_count: int) -> bytes:
-    """Pack the critical structures of one controller's LogM."""
+def serialize(aus_list: list[AusState], bucket_count: int,
+              cleared=frozenset()) -> bytes:
+    """Pack the critical structures of one controller's LogM.
+
+    Slots in ``cleared`` pack as a reset AUS (empty vector, no current
+    bucket or update), the state a truncation leaves them in.
+    """
     parts = []
     for state in aus_list:
+        if state.slot in cleared:
+            parts.append(bytes((bucket_count + 7) // 8))
+            parts.append(_REGS.pack(_NO_BUCKET, 0, _NO_SEQ))
+            continue
         parts.append(state.bucket_vec.to_bytes())
         bucket = _NO_BUCKET if state.current_bucket is None else state.current_bucket
         seq = _NO_SEQ if state.update_start_seq is None else state.update_start_seq
@@ -125,18 +134,25 @@ def deserialize(blob: bytes) -> list[AdrAusImage]:
 
 
 def flush_on_power_failure(logm, image, layout, *,
-                           max_lines: int | None = None) -> bytes:
+                           max_lines: int | None = None,
+                           truncating=()) -> bytes:
     """Write one controller's critical structures to its ADR block.
 
-    Called by ``System.crash()``; models the hardware ADR flush, so the
-    bytes go straight to the durable image.  ``max_lines`` models a
-    failing power budget (the fault subsystem's ``adr-truncation``
-    model): only the first ``max_lines`` cache lines of the image reach
-    the NVM, the rest of the block keeps its stale contents.  Returns
-    the *full* serialized blob either way, so callers can tell whether
-    the budget actually truncated anything.
+    Called by ``System.crash()`` and ``System.power_cut()``; models the
+    hardware ADR flush, so the bytes go straight to ``image``'s durable
+    plane.  ``max_lines`` models a failing power budget (the fault
+    subsystem's ``adr-truncation`` model): only the first ``max_lines``
+    cache lines of the image reach the NVM, the rest of the block keeps
+    its stale contents.  Returns the *full* serialized blob either way,
+    so callers can tell whether the budget actually truncated anything.
+
+    ``truncating`` names cores whose commit broadcast had truncated
+    their log on some controller at the cut.  Their AUS here packs as
+    cleared — what ``LogManager.force_truncate`` leaves behind in
+    ``crash()`` — without this LogM's own state changing.
     """
-    blob = serialize(logm.aus, logm.cfg.buckets_per_controller)
+    cleared = {logm.slot_of(core) for core in truncating}
+    blob = serialize(logm.aus, logm.cfg.buckets_per_controller, cleared)
     base = layout.adr_base(logm.mc.mc_id)
     if len(blob) > layout.adr_block_bytes:
         raise RecoveryError(

@@ -31,11 +31,10 @@ from collections import defaultdict, deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from repro.atom.recovery import RecoveryReport, scrub_media
 from repro.common.stats import Stats
 from repro.common.units import CACHE_LINE_BYTES, line_of
-from repro.faults.analytics import (
-    RecoveryCost, line_read_cycles, redo_replay_cost,
-)
+from repro.faults.analytics import line_read_cycles, redo_replay_cost
 
 CTRL_BYTES = 8
 _ENTRY = struct.Struct("<QQ")
@@ -146,12 +145,6 @@ class RedoManager:
         self._slice_bytes = (
             system.config.log.region_bytes // max(1, num_cores)
         ) // CACHE_LINE_BYTES * CACHE_LINE_BYTES
-        #: Analytics of the last :meth:`recover` call (replay traffic).
-        self.last_recovery_cost = RecoveryCost()
-        #: Lines the last recover's media scrub flagged as corrupt.
-        self.last_corrupt_lines: list[int] = []
-        #: The last recover ran out of its write budget (crash-storm).
-        self.last_recovery_interrupted = False
         #: Lifecycle tracer (repro.obs.trace.Tracer) or None — checked
         #: at commit/apply events only (the injector-gate pattern).
         self.tracer = None
@@ -433,7 +426,18 @@ class RedoManager:
             if mc.victim_cache is not None:
                 mc.victim_cache.drop_all()
 
-    def recover(self, write_budget: int | None = None) -> int:
+    def durable_log(self) -> tuple[list[int], set[int]]:
+        """Copies of the commit order and the applied set.
+
+        With the durable image they are all that recovery reads, so a
+        power cut (``System.power_cut``) keeps them for its own
+        recovery.  Committed word lists never change once recorded, so
+        the cut shares them.
+        """
+        return list(self._commit_order), set(self._applied)
+
+    def recover(self, write_budget: int | None = None,
+                cut=None) -> RecoveryReport:
         """Redo-apply the committed log beyond the truncated prefix.
 
         Backend applies complete in log-read order, not commit order, so
@@ -443,7 +447,12 @@ class RedoManager:
         committed transaction past that prefix, in commit order; replay
         is idempotent, and re-running an already-applied later
         transaction restores any of its words an earlier replay just
-        overwrote.  Returns the number of transactions replayed.
+        overwrote.  ``updates_rolled_back`` of the returned report counts
+        the transactions replayed.
+
+        ``cut`` (a ``System.power_cut`` result) recovers that cut's image
+        and its copy of the commit order and applied set instead of the
+        machine's own; the machine is left as it was.
 
         ``write_budget`` caps the durable word writes (crash-storm mode:
         power dies again mid-replay).  An interrupted replay marks *no*
@@ -451,27 +460,26 @@ class RedoManager:
         because the next pass replays the same full suffix from the same
         prefix (marking a replayed txn early would let the prefix skip
         past it and leave its words clobbered by an *earlier* txn's
-        replay).  :attr:`last_recovery_interrupted` records the cut.
+        replay).  ``report.interrupted`` records the cut.
 
-        The replay's modeled traffic lands in :attr:`last_recovery_cost`:
-        the backend re-reads each replayed transaction's combined log
-        lines plus its commit record, then writes each reconstructed
-        data line in place.  With the checksum plane enabled a media
-        scrub precedes the replay; its flagged lines land in
-        :attr:`last_corrupt_lines` and its traffic in the cost.
+        The replay's modeled traffic lands in ``report.cost``: the
+        backend re-reads each replayed transaction's combined log lines
+        plus its commit record, then writes each reconstructed data
+        line in place.  With the checksum plane enabled a media scrub
+        precedes the replay; its flagged lines land in
+        ``report.corrupt_lines`` and its traffic in the cost.
         """
-        image = self.image
+        if cut is None:
+            image, order, applied = (self.image, self._commit_order,
+                                     self._applied)
+        else:
+            image, order, applied = cut.image, cut.commit_order, cut.applied
+        report = RecoveryReport()
         scrub_lines = 0
-        self.last_corrupt_lines = []
-        self.last_recovery_interrupted = False
         if image.line_checksums:
-            from repro.atom.recovery import scrub_media
-
-            scrub_lines, bad = scrub_media(image)
-            self.last_corrupt_lines = bad
+            scrub_lines, report.corrupt_lines = scrub_media(image)
         prefix = 0
-        while (prefix < len(self._commit_order)
-               and self._commit_order[prefix] in self._applied):
+        while prefix < len(order) and order[prefix] in applied:
             prefix += 1
         budget = write_budget
         replayed = 0
@@ -479,24 +487,24 @@ class RedoManager:
         log_lines = 0
         to_mark: list[int] = []
         data_lines: set[int] = set()
-        for txn_id in self._commit_order[prefix:]:
+        for txn_id in order[prefix:]:
             words = self._durable_commits[txn_id]
             for addr, value in words:
                 if budget is not None:
                     if budget <= 0:
-                        self.last_recovery_interrupted = True
+                        report.interrupted = True
                         break
                     budget -= 1
                 image.persist(addr, value)
                 data_lines.add(line_of(addr))
-            if self.last_recovery_interrupted:
+            if report.interrupted:
                 break
             entries += len(words)
             log_lines += -(-len(words) // self.entries_per_line) + 1
             to_mark.append(txn_id)
             replayed += 1
-        if not self.last_recovery_interrupted:
-            self._applied.update(to_mark)
+        if not report.interrupted:
+            applied.update(to_mark)
         cost = redo_replay_cost(
             self.system.config.memory, replayed=replayed, entries=entries,
             log_lines_read=log_lines, data_lines_written=len(data_lines),
@@ -504,7 +512,8 @@ class RedoManager:
         if scrub_lines:
             mem = self.system.config.memory
             cost.lines_scanned += scrub_lines
-            cost.line_checksum_rejected = len(self.last_corrupt_lines)
+            cost.line_checksum_rejected = len(report.corrupt_lines)
             cost.cycles += scrub_lines * line_read_cycles(mem)
-        self.last_recovery_cost = cost
-        return replayed
+        report.updates_rolled_back = replayed
+        report.cost = cost
+        return report

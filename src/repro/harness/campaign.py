@@ -22,8 +22,9 @@ exhaustive grid: every (design × workload × seed × crash-cycle) point
 runs a scaled-down machine, cuts power, recovers, and differential-
 checks the durable image against the golden model replayed over exactly
 the committed transactions.  The points of one run share its simulated
-prefix: the run is simulated once and a forked child crashes it at each
-point (:func:`execute_crash_point`).
+prefix: the run is simulated once, and at each point a power cut of the
+running machine is recovered and checked while the machine runs on
+(:func:`cut_point`, which serves plain litmus points too).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import traceback
 from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from functools import partial
 from multiprocessing.connection import wait as _conn_wait
 
 from repro.common.errors import ReproError, SimulationError, WorkloadError
@@ -810,9 +812,9 @@ class Campaign:
         """Differential-check a batch of crash points (cached, pooled).
 
         Consecutive points of one run share its simulated prefix (see
-        :func:`execute_crash_point`), so submit each run's points
-        together in ascending crash-cycle order, as :func:`crash_grid`
-        does.
+        :func:`cut_point`), so submit each run's points together in
+        ascending crash-cycle order, as :func:`crash_grid` does.  The
+        live run is dropped after the batch.
         """
         try:
             return self._map(list(specs), _crash_worker,
@@ -828,11 +830,16 @@ class Campaign:
         ``points`` are :class:`repro.litmus.explorer.LitmusPoint`s; the
         result is order-preserving :class:`LitmusOutcome`s.  Imported
         lazily so the campaign layer has no hard litmus dependency.
+        Plain points of one cell share its run as crash points do (see
+        :func:`cut_point`); the live run is dropped after the batch.
         """
         from repro.litmus.explorer import _outcome_from_dict, litmus_worker
 
-        return self._map(list(points), litmus_worker,
-                         _outcome_from_dict, "litmus")
+        try:
+            return self._map(list(points), litmus_worker,
+                             _outcome_from_dict, "litmus")
+        finally:
+            _drop_live_run()
 
     # -- fault points ---------------------------------------------------------
 
@@ -902,183 +909,151 @@ def _crash_outcome_from_dict(payload: dict) -> CrashOutcome:
 
 
 class _LiveRun:
-    """The machine of one crash-sweep run, standing at a crash cycle.
+    """The machine of one run, standing at a crash cycle.
 
-    Built by :func:`~repro.harness.testbed.start_crash_run` (the path
-    ``crash_run`` takes), with a pause scheduled where ``crash_run``
-    schedules its crash, so the pause takes that crash's insertion
-    sequence number.  Re-arming the pause keeps the number
+    ``key`` names the run (a point with its crash cycle cleared).
+    ``start()`` builds it the way the per-point path does and returns
+    ``(system, workload, max_cycles)`` with the threads started and
+    nothing run.  The first crash cycle gets a pause scheduled where the
+    per-point path schedules its crash, so the pause takes that crash's
+    insertion sequence number.  Re-arming the pause keeps the number
     (``Engine.rearm``): at every later crash cycle the run stops at
     exactly the dispatch position a fresh run crashing there would, and
-    cutting power on the paused machine reproduces that run's crash bit
-    for bit.
+    a power cut of the paused machine (``System.power_cut``) is that
+    run's crash, bit for bit.
     """
 
-    __slots__ = ("key", "system", "workload", "pause")
+    __slots__ = ("key", "system", "workload", "max_cycles", "pause",
+                 "ended")
 
-    def __init__(self, spec: CrashSpec):
-        from repro.harness.testbed import start_crash_run
-
-        #: Every field of the run's specs but the crash cycle.
-        self.key = replace(spec, crash_cycle=0)
-        self.system, self.workload = start_crash_run(
-            spec.workload, spec.design, seed=spec.seed,
-            entry_bytes=spec.entry_bytes, threads=spec.threads,
-            txns_per_thread=spec.txns_per_thread,
-            initial_items=spec.initial_items, num_cores=spec.num_cores,
-            **spec.workload_kw,
-        )
+    def __init__(self, key, start):
+        self.key = key
+        self.system, self.workload, self.max_cycles = start()
         self.pause = None
+        #: The run finished, or stopped at its cycle limit.
+        self.ended = False
 
-    def serves(self, spec: CrashSpec) -> bool:
-        """Whether ``spec``'s crash state lies at or ahead of this one.
+    def serves(self, key, cycle: int | None) -> bool:
+        """Whether the crash state of ``key`` at ``cycle`` lies ahead.
 
-        A paused machine serves its own cycle and every later one.  A
-        run that ended before its pause (all threads finished, or the
-        cycle limit) serves only cycles strictly past its end: a crash
-        scheduled exactly at the end cycle fires before the last
-        thread's finishing event.
+        ``cycle=None`` is the end of the run.  A paused machine serves
+        its own cycle and every later one.  A run that ended serves its
+        end and only cycles strictly past it: a crash scheduled exactly
+        at the end cycle fires before the last thread's finishing event.
         """
-        if replace(spec, crash_cycle=0) != self.key:
+        if key != self.key:
             return False
         now = self.system.engine.now
-        if self.system.paused:
-            return spec.crash_cycle >= now
-        return spec.crash_cycle > now
+        if self.ended:
+            return cycle is None or cycle > now
+        return cycle is not None and cycle >= now
 
-    def advance(self, cycle: int) -> None:
-        """Run on to ``cycle`` (a no-op at it or past the run's end)."""
-        from repro.harness.testbed import CRASH_RUN_MAX_CYCLES
-
-        system = self.system
-        if self.pause is None:
-            self.pause = system.pause_at(cycle)
-        elif system.paused and cycle > system.engine.now:
-            system.engine.rearm(self.pause, cycle)
-        else:
+    def advance(self, cycle: int | None) -> None:
+        """Run on to ``cycle`` (``None``: to the end); a no-op once there."""
+        if self.ended:
             return
-        system.run(max_cycles=CRASH_RUN_MAX_CYCLES)
+        system = self.system
+        if cycle is not None:
+            if self.pause is None:
+                self.pause = system.pause_at(cycle)
+            elif cycle > system.engine.now:
+                system.engine.rearm(self.pause, cycle)
+            else:
+                return
+        system.run(max_cycles=self.max_cycles)
+        self.ended = not system.paused
 
 
-#: This process's live crash-sweep machine (see execute_crash_point).
-#: Per process, not per campaign: pool workers call the executor by
-#: reference, one point at a time.  No outcome depends on it — a point
-#: the machine cannot serve exactly rebuilds it.
+#: This process's live run (see cut_point).  Per process, not per
+#: campaign: pool workers call the point executors by reference, one
+#: point at a time.  No outcome depends on it — a point the run cannot
+#: serve exactly rebuilds it.
 _live: _LiveRun | None = None
 
 
 def _drop_live_run() -> None:
-    """Forget this process's live machine and recycle its image."""
+    """Forget this process's live run and recycle its image."""
     global _live
     if _live is not None:
         _live.system.image.recycle()
         _live = None
 
 
+def cut_point(key, cycle: int | None, start, check):
+    """Check a power cut of run ``key`` at ``cycle`` on the live run.
+
+    The crash-point executor of the crash sweep and of plain litmus
+    points.  This process keeps one live run (:class:`_LiveRun`).  When
+    it serves the point it advances to ``cycle``; otherwise ``start``
+    rebuilds it.  ``check(system, workload, cut)`` then judges a
+    ``System.power_cut`` of the machine and returns the point's outcome.
+    The machine is left intact and runs on for the next point, and the
+    cut's image is recycled afterwards.  Points of one run submitted in
+    ascending cycle order therefore simulate the run once.
+
+    An error while building or running drops the live run and
+    propagates.  An error from ``check`` propagates too, but the run is
+    kept, because a cut leaves the machine as it was.
+    """
+    global _live
+    if _live is not None and not _live.serves(key, cycle):
+        _drop_live_run()
+    try:
+        if _live is None:
+            _live = _LiveRun(key, start)
+        _live.advance(cycle)
+    except BaseException:
+        _drop_live_run()
+        raise
+    cut = _live.system.power_cut()
+    try:
+        return check(_live.system, _live.workload, cut)
+    finally:
+        cut.image.recycle()
+
+
 def execute_crash_point(spec: CrashSpec) -> CrashOutcome:
     """Run one crash point and differential-check it.
 
-    Each process keeps one live machine (:class:`_LiveRun`).  When
-    ``spec`` differs from that machine's run only in a crash cycle at
-    or past where the machine stands, the machine advances to the cycle
-    instead of re-simulating the prefix from cycle 0; otherwise it is
-    rebuilt.  A forked child then cuts power, recovers and checks
-    (:func:`_fork_crash_point`) while the parent keeps the machine for
-    the next point.  Points of one run submitted in ascending cycle
-    order therefore simulate the run once.
+    The point is checked on a power cut of this process's live run of
+    ``spec``'s (design, workload, seed, ...) run (:func:`cut_point`),
+    so a run's points submitted in ascending cycle order simulate the
+    run once.
 
     A failed differential check (or a modelled-hardware deadlock) is an
     *outcome*, not an infrastructure error — it is recorded with
     ``ok=False`` so a sweep reports every divergence instead of dying on
     the first one.
     """
-    global _live
-    if _live is not None and not _live.serves(spec):
-        _drop_live_run()
-    try:
-        if _live is None:
-            _live = _LiveRun(spec)
-        _live.advance(spec.crash_cycle)
-    except (WorkloadError, SimulationError) as exc:
-        _drop_live_run()
-        return CrashOutcome(spec=spec, ok=False,
-                            error=f"{type(exc).__name__}: {exc}")
-    except BaseException:
-        _drop_live_run()
-        raise
-    return _fork_crash_point(spec, _live.system, _live.workload)
+    from repro.harness.testbed import CRASH_RUN_MAX_CYCLES, start_crash_run
 
-
-def _crash_point_outcome(spec: CrashSpec, system, workload) -> CrashOutcome:
-    """Cut power on a machine standing at ``spec``'s crash, recover, check."""
-    from repro.harness.testbed import finish_crash_run
+    def start():
+        system, workload = start_crash_run(
+            spec.workload, spec.design, seed=spec.seed,
+            entry_bytes=spec.entry_bytes, threads=spec.threads,
+            txns_per_thread=spec.txns_per_thread,
+            initial_items=spec.initial_items, num_cores=spec.num_cores,
+            **spec.workload_kw,
+        )
+        return system, workload, CRASH_RUN_MAX_CYCLES
 
     try:
-        report = finish_crash_run(system, workload)
+        return cut_point(replace(spec, crash_cycle=0), spec.crash_cycle,
+                         start, partial(_crash_cut_outcome, spec))
     except (WorkloadError, SimulationError) as exc:
         return CrashOutcome(spec=spec, ok=False,
                             error=f"{type(exc).__name__}: {exc}")
-    cost = getattr(report, "cost", None)
+
+
+def _crash_cut_outcome(spec: CrashSpec, system, workload, cut) -> CrashOutcome:
+    """Recover ``spec``'s power cut and check it against the golden model."""
+    report = system.recover(cut)
+    workload.verify_durable(cut.image)
     return CrashOutcome(
         spec=spec, ok=True, commits=workload.commits,
-        updates_rolled_back=getattr(report, "updates_rolled_back", 0),
-        recovery_cost=cost.to_dict() if cost is not None else {},
+        updates_rolled_back=report.updates_rolled_back,
+        recovery_cost=report.cost.to_dict(),
     )
-
-
-def _fork_crash_point(spec: CrashSpec, system, workload) -> CrashOutcome:
-    """Check ``spec``'s crash in a forked child; the parent's machine lives on.
-
-    The child pipes back its pickled :class:`CrashOutcome`.  A child
-    that raises, or dies without a complete reply, ends the point as an
-    error naming the spec — never as a pass, and never a hang: the
-    reply pipe reaches end-of-file the moment the child is gone.
-    """
-    read_fd, write_fd = os.pipe()
-    with os.fdopen(read_fd, "rb") as pipe:
-        try:
-            pid = os.fork()
-            if pid == 0:
-                _crash_point_child(spec, system, workload, write_fd)
-        finally:
-            os.close(write_fd)
-        reply = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    try:
-        return pickle.loads(reply)
-    except Exception:  # noqa: BLE001 — empty or torn reply
-        code = os.waitstatus_to_exitcode(status)
-        how = (f"killed by signal {-code}" if code < 0
-               else f"exit code {code}")
-        return CrashOutcome(
-            spec=spec, ok=False,
-            error=f"crash-point child died without replying ({how}) on "
-                  f"[{describe_spec(spec, kind='crash')}]",
-        )
-
-
-def _crash_point_child(spec: CrashSpec, system, workload, write_fd: int):
-    """Body of the forked child: check the crash, reply, ``os._exit``.
-
-    The child never returns and leaves only through ``os._exit``: stdio
-    and telemetry buffers, atexit hooks and pool handles it inherited
-    belong to the parent.
-    """
-    try:
-        try:
-            outcome = _crash_point_outcome(spec, system, workload)
-        except BaseException as exc:  # noqa: BLE001 — the reply reports it
-            outcome = CrashOutcome(
-                spec=spec, ok=False,
-                error=f"crash-point child failed on "
-                      f"[{describe_spec(spec, kind='crash')}]: "
-                      f"{type(exc).__name__}: {exc}\n"
-                      f"{traceback.format_exc()}",
-            )
-        with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
-    finally:
-        os._exit(0)
 
 
 #: Designs with a recovery story (the crash sweep's default axis).

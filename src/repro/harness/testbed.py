@@ -4,9 +4,11 @@ Both the unit-test suite (``tests/helpers.py``) and the benchmark
 fixtures (``benchmarks/conftest.py``) import these helpers, so the
 machine a test exercises and the machine a benchmark smoke-checks can
 never silently drift apart.  The campaign layer's crash sweep
-(:mod:`repro.harness.campaign`) builds and checks its machines with the
-two halves of :func:`crash_run` (:func:`start_crash_run`,
-:func:`finish_crash_run`) — the code path the crash-matrix tests use.
+(:mod:`repro.harness.campaign`) builds its machines with the first half
+of :func:`crash_run` (:func:`start_crash_run`), the code path the
+crash-matrix tests use, and checks each point on a power cut
+(``System.power_cut``) where :func:`finish_crash_run` crashes the
+machine itself.
 """
 
 from __future__ import annotations

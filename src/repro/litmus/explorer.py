@@ -5,7 +5,9 @@ For every (litmus test × design × seed) cell the explorer
 1. runs one **probe** point (no injected crash: run to completion, cut
    power, recover) to learn the program's finish cycle,
 2. enumerates a crash grid over ``[crash_start, finish)`` and runs each
-   point: build the machine, crash it mid-flight, run recovery,
+   point: cut power mid-flight and run recovery (the cell's program is
+   simulated once, and each point recovers a power cut that the
+   running machine survives — see :func:`execute_litmus_point`),
 3. extracts the recovered values of the spec's symbolic variables from
    the durable image and dedups recovered states by content digest,
 4. re-runs recovery and checks the durable image digest is unchanged
@@ -155,7 +157,15 @@ def litmus_worker(point: LitmusPoint) -> tuple:
 
 def execute_litmus_point(point: LitmusPoint, *,
                          instrument=None) -> LitmusOutcome:
-    """Run one point: build, (maybe) crash, recover, extract, re-recover.
+    """Run one point: (maybe) crash, recover, extract, re-recover.
+
+    A plain point (no fault model, storm seed or ``instrument`` hook)
+    is checked on a power cut of this process's live run of its (test,
+    design, seed) cell (:func:`repro.harness.campaign.cut_point`), so a
+    cell's points submitted in ascending crash-cycle order simulate its
+    program once.  Any other point builds its own machine and cuts
+    power destructively (``System.crash``) so its fault injector,
+    storm or tracer sees the cut.
 
     A modelled-hardware failure (deadlock, invariant violation, workload
     inconsistency) is an *outcome*, recorded in ``error`` — the explorer
@@ -165,10 +175,11 @@ def execute_litmus_point(point: LitmusPoint, *,
     before the program starts (observability hook: a traced litmus
     cell installs its :class:`~repro.obs.trace.Tracer` here).
     """
+    from repro.harness.campaign import cut_point
     from repro.harness.testbed import build_litmus_system, finish_crash_run
 
-    spec = LitmusSpec.from_dict(point.test)
-    try:
+    def start():
+        spec = LitmusSpec.from_dict(point.test)
         system, workload = build_litmus_system(
             point.design, spec, seed=point.seed
         )
@@ -180,37 +191,25 @@ def execute_litmus_point(point: LitmusPoint, *,
             FaultInjector(fault_from_dict(point.fault)).install(system)
         workload.setup()
         system.start_threads(workload.threads())
+        return system, workload, spec.max_cycles
+
+    def check(system, workload, cut) -> LitmusOutcome:
+        return _recovered_outcome(point, system, workload, cut,
+                                  system.recover(cut))
+
+    try:
+        if instrument is None and point.fault is None and point.storm is None:
+            return cut_point(dataclasses.replace(point, crash_cycle=None),
+                             point.crash_cycle, start, check)
+        system, workload, max_cycles = start()
         if point.crash_cycle is not None:
             system.crash_at(point.crash_cycle)
-        system.run(max_cycles=spec.max_cycles)
-        finish = system.engine.now
+        system.run(max_cycles=max_cycles)
         # A probe, or a program that finished before the scheduled
         # cycle, has its power cut here (nothing should roll back).
         report = finish_crash_run(system, workload, verify=False,
                                   storm_seed=point.storm)
-        storm = report.storm
-        # Recovery idempotence: a second crash immediately after (or
-        # during — nothing volatile matters any more) recovery must
-        # leave the durable image byte-identical.
-        first = system.image.durable_digest()
-        system.recover()
-        idempotent = system.image.durable_digest() == first
-        if storm is not None:
-            # The storm's convergence verdict folds into the same axis:
-            # a non-fixpoint storm is an idempotence failure.
-            idempotent = idempotent and storm.fixpoint
-        cost = getattr(report, "cost", None)
-        outcome = LitmusOutcome(
-            point=point,
-            state=workload.durable_state(),
-            digest=workload.state_digest(),
-            commits=workload.commits,
-            rolled_back=getattr(report, "updates_rolled_back", 0),
-            finish=finish,
-            idempotent=idempotent,
-            recovery_cost=cost.to_dict() if cost is not None else {},
-            windows=list(system.crash_windows),
-        )
+        outcome = _recovered_outcome(point, system, workload, None, report)
         # The system was private to this point and the outcome carries
         # everything extracted from it: recycle the image buffers.
         system.image.recycle()
@@ -220,6 +219,38 @@ def execute_litmus_point(point: LitmusPoint, *,
             point=point, state=None,
             error=f"{type(exc).__name__}: {exc}",
         )
+
+
+def _recovered_outcome(point: LitmusPoint, system, workload, cut,
+                       report) -> LitmusOutcome:
+    """Re-recover a point's power failure and read its recovered state.
+
+    ``cut`` is the point's ``System.power_cut``, or ``None`` when the
+    machine itself crashed; ``report`` is the first recovery of it.
+    """
+    image = system.image if cut is None else cut.image
+    # Recovery idempotence: a second crash immediately after (or during
+    # — nothing volatile matters any more) recovery must leave the
+    # durable image byte-identical.
+    first = image.durable_digest()
+    system.recover(cut)
+    idempotent = image.durable_digest() == first
+    storm = getattr(report, "storm", None)
+    if storm is not None:
+        # The storm's convergence verdict folds into the same axis: a
+        # non-fixpoint storm is an idempotence failure.
+        idempotent = idempotent and storm.fixpoint
+    return LitmusOutcome(
+        point=point,
+        state=workload.durable_state(image),
+        digest=workload.state_digest(image),
+        commits=workload.commits,
+        rolled_back=report.updates_rolled_back,
+        finish=system.engine.now,
+        idempotent=idempotent,
+        recovery_cost=report.cost.to_dict(),
+        windows=list(system.crash_windows if cut is None else cut.windows),
+    )
 
 
 # -- crash grids ---------------------------------------------------------------

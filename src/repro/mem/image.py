@@ -25,11 +25,17 @@ Touched-line tracking
 Both planes record, at cache-line granularity, which lines have ever
 been written since construction.  A simulated machine touches a tiny
 fraction of its address space, so whole-image operations — the crash
-reset, ``sync_all``, the whole-image digest, and buffer recycling — walk
-the touched set instead of the full array.  This is what makes
-campaign-sized points (litmus grids, fault matrices: thousands of small
-machines per run) cheap: the per-point fixed cost is proportional to
-the state actually used, not to the configured memory size.
+reset, ``sync_all``, the whole-image digest, :meth:`durable_copy` and
+buffer recycling — walk the touched set instead of the full array.
+This is what makes campaign-sized points (litmus grids, fault matrices,
+crash sweeps: thousands of machines or power cuts per run) cheap: the
+per-point fixed cost is proportional to the state actually used, not to
+the configured memory size.
+
+Each plane is an anonymous private memory mapping rather than a
+``bytearray``: the kernel supplies zero pages on first touch, so a plane
+costs resident memory only for the pages a machine writes, where a
+``bytearray`` is zero-filled in full up front.
 
 Per-line checksum plane
 -----------------------
@@ -49,6 +55,7 @@ same damage is silent.  The plane is metadata, not memory contents:
 from __future__ import annotations
 
 import hashlib
+import mmap
 import struct
 import zlib
 
@@ -60,13 +67,25 @@ _LINE_MASK = ~(CACHE_LINE_BYTES - 1)
 _ZERO_LINE = bytes(CACHE_LINE_BYTES)
 
 #: Recycled (volatile, durable) buffer pairs, keyed by size.  A campaign
-#: worker builds thousands of same-shaped machines back to back; zeroing
-#: a retired image's touched lines and reusing its buffers is far
-#: cheaper than two fresh multi-megabyte allocations per point.  Only
-#: :meth:`MemoryImage.recycle` puts buffers here, and only a caller that
-#: owns the image outright (the point executors) may call it.
-_BUFFER_POOL: dict[int, list[tuple[bytearray, bytearray]]] = {}
+#: worker builds thousands of same-shaped machines and power cuts back
+#: to back; zeroing a retired image's touched lines and reusing its
+#: buffers is far cheaper than two fresh multi-megabyte mappings per
+#: point.  Only :meth:`MemoryImage.recycle` puts buffers here, and only
+#: a caller that owns the image outright (the point executors) may call
+#: it.
+_BUFFER_POOL: dict[int, list[tuple[mmap.mmap, mmap.mmap]]] = {}
 _POOL_DEPTH = 2
+
+
+def _plane(size: int) -> mmap.mmap:
+    """A zeroed image plane whose pages are backed on first write.
+
+    The mapping is private: mmap's default, a shared mapping, would be
+    inherited as shared by a forked campaign worker, whose writes to
+    buffers drawn from the pool it inherited would then land in the
+    parent's pooled (supposedly zero) buffers.
+    """
+    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
 
 
 class MemoryImage:
@@ -88,12 +107,12 @@ class MemoryImage:
         if pooled:
             self._volatile, self._durable = pooled.pop()
         else:
-            self._volatile = bytearray(size_bytes)
-            self._durable = bytearray(size_bytes)
+            self._volatile = _plane(size_bytes)
+            self._durable = _plane(size_bytes)
         # Permanent views for the hot read paths: slicing a memoryview
-        # skips one intermediate bytearray copy per read.  The arrays
-        # are never resized (resizing would be refused while these
-        # exports exist), only mutated in place.
+        # skips one intermediate bytes copy per read.  The planes are
+        # never resized (resizing would be refused while these exports
+        # exist), only mutated in place.
         self._vol_view = memoryview(self._volatile)
         self._dur_view = memoryview(self._durable)
         #: Line base addresses ever written in each plane (see module
@@ -366,6 +385,29 @@ class MemoryImage:
             vol[base : base + line] = dur[base : base + line]
         self._vol_touched |= self._dur_touched
 
+    def durable_copy(self) -> "MemoryImage":
+        """A new image whose two planes both hold this durable plane.
+
+        What :meth:`crash` would make of this image, in buffers of its
+        own, while this image lives on untouched — the image of a
+        non-destructive power cut (``System.power_cut``).  The checksum
+        plane comes along.  The buffers are drawn from the pool and
+        only the touched durable lines are copied; the caller owns the
+        copy and may :meth:`recycle` it.
+        """
+        copy = MemoryImage(self.size_bytes, line_checksums=self.line_checksums)
+        src = self._dur_view
+        vol, dur = copy._vol_view, copy._dur_view
+        line = CACHE_LINE_BYTES
+        for base in self._dur_touched:
+            chunk = src[base : base + line]
+            vol[base : base + line] = chunk
+            dur[base : base + line] = chunk
+        copy._dur_touched = set(self._dur_touched)
+        copy._vol_touched = set(self._dur_touched)
+        copy._line_crc = dict(self._line_crc)
+        return copy
+
     def recycle(self) -> None:
         """Zero the touched lines and donate the buffers to the pool.
 
@@ -373,8 +415,8 @@ class MemoryImage:
         holder of this image (and of any system built around it) and
         must not touch either plane afterwards — the buffers will back a
         *different* machine's memory.  Point executors (litmus, crash,
-        fault workers) call this in their ``finally`` because they build
-        a private system per point and return only extracted values.
+        fault workers) call this once they have extracted their values
+        from a machine or power cut that was private to them.
         """
         pooled = _BUFFER_POOL.setdefault(self.size_bytes, [])
         if len(pooled) >= _POOL_DEPTH:

@@ -4,8 +4,10 @@
 mesh, controllers (with LogM or the REDO machinery attached per the
 selected design), the shared L2 directory, per-core L1s and cores, the
 lock manager and the AUS allocator.  It then runs workload threads to
-completion, supports crash injection at an arbitrary cycle, and runs the
-recovery routine — everything the harness and the tests need.
+completion, supports crash injection at an arbitrary cycle — destructive
+(:meth:`System.crash`) or as a copy the running machine survives
+(:meth:`System.power_cut`) — and runs the recovery routine — everything
+the harness and the tests need.
 """
 
 from __future__ import annotations
@@ -75,6 +77,28 @@ class SimResult:
         if self.log_entries == 0:
             return 0.0
         return self.source_logged / self.log_entries
+
+
+@dataclass
+class PowerCut:
+    """What a power failure at one instant leaves for recovery.
+
+    Made by :meth:`System.power_cut` without stopping the machine, and
+    recovered by ``System.recover(cut)``.  Recovery reads only the
+    durable image and, on REDO, the commit bookkeeping, so this is all
+    of the post-failure state.
+    """
+
+    #: The durable plane with every controller's ADR block flushed, in
+    #: both planes of a private image, as :meth:`System.crash` leaves
+    #: the machine's own.  The cut's owner recycles it.
+    image: MemoryImage
+    #: Crash windows the machine was inside (:data:`CRASH_WINDOWS`).
+    windows: list[str]
+    #: REDO only: the durable commit order and applied set at the cut.
+    #: Recovering the cut advances this set, not the machine's.
+    commit_order: list[int] | None = None
+    applied: set[int] | None = None
 
 
 class System:
@@ -297,10 +321,10 @@ class System:
         """Which modelled crash windows the machine is inside right now.
 
         Sampled at the top of :meth:`crash` — before the cut mutates
-        any state — so the litmus coverage layer can attribute each
-        crash point to the hardware activity it interrupted (see
-        :data:`CRASH_WINDOWS`).  ``["quiescent"]`` when nothing
-        durability-critical was in flight.
+        any state — and by :meth:`power_cut`, so the litmus coverage
+        layer can attribute each crash point to the hardware activity
+        it interrupted (see :data:`CRASH_WINDOWS`).  ``["quiescent"]``
+        when nothing durability-critical was in flight.
         """
         windows: list[str] = []
         if any(core.commit_flushing for core in self.cores):
@@ -381,6 +405,34 @@ class System:
         if inj is not None:
             inj.after_crash(self)
 
+    def power_cut(self) -> PowerCut:
+        """Power failure *now*, as a copy: the machine runs on untouched.
+
+        Returns what :meth:`crash` would leave for recovery.  The cut
+        copies the durable plane into a new image and flushes each
+        controller's ADR block into that copy through the helper
+        ``crash`` uses.  The slots of partially broadcast commits pack
+        as truncated, which ``crash`` achieves by truncating them on
+        every controller.  The cut discards nothing else, because
+        channel queues, caches and cores are volatile and recovery never
+        reads them.  REDO's commit order and applied set are copied.
+
+        The fault injector and the tracer are not consulted: fault,
+        storm and traced crash points keep :meth:`crash`.
+        """
+        image = self.image.durable_copy()
+        truncating = [core_id for core_id, intent
+                      in self._commit_intents.items() if intent["cleared"]]
+        for mc in self.controllers:
+            if mc.logm is not None:
+                adr_mod.flush_on_power_failure(
+                    mc.logm, image, self.layout, truncating=truncating
+                )
+        cut = PowerCut(image=image, windows=self.sample_crash_windows())
+        if self.redo is not None:
+            cut.commit_order, cut.applied = self.redo.durable_log()
+        return cut
+
     def crash_at(self, cycle: int) -> None:
         """Schedule a crash at an absolute cycle (before running)."""
         self.engine.at(cycle, self.crash)
@@ -407,10 +459,14 @@ class System:
         """True once :meth:`crash` has run (power was cut)."""
         return self._crashed
 
-    def recover(self, *,
+    def recover(self, cut: PowerCut | None = None, *,
                 write_budget: int | None = None,
                 ) -> recovery_mod.RecoveryReport:
         """Run the post-crash recovery routine on the durable image.
+
+        Without ``cut`` it recovers the machine's own image after
+        :meth:`crash`.  With ``cut`` (from :meth:`power_cut`) it recovers
+        the cut instead and leaves the machine as it was.
 
         The returned report carries the recovery-time analytics
         (``report.cost``): log lines scanned, records undone/applied,
@@ -421,17 +477,10 @@ class System:
         harness (:mod:`repro.faults.storm`) uses it to model power dying
         again *during* recovery; ``report.interrupted`` records the cut.
         """
-        if self.config.design is Design.REDO:
-            report = recovery_mod.RecoveryReport()
-            if self.redo is not None:
-                report.updates_rolled_back = self.redo.recover(
-                    write_budget=write_budget
-                )
-                report.cost = self.redo.last_recovery_cost
-                report.corrupt_lines = list(self.redo.last_corrupt_lines)
-                report.interrupted = self.redo.last_recovery_interrupted
-            return report
-        return recovery_mod.recover(self.image, self.layout, self.config.log,
+        if self.redo is not None:
+            return self.redo.recover(write_budget, cut)
+        image = self.image if cut is None else cut.image
+        return recovery_mod.recover(image, self.layout, self.config.log,
                                     mem=self.config.memory,
                                     write_budget=write_budget)
 

@@ -122,14 +122,19 @@ class Workload:
 
     # -- verification -----------------------------------------------------------------
 
-    def reader(self) -> ImageReader:
-        """Durable-image reader for post-crash verification."""
-        return ImageReader(self.image)
+    def reader(self, image=None) -> ImageReader:
+        """Durable-image reader for post-crash verification.
 
-    def verify_durable(self) -> None:
+        ``image`` defaults to the machine's own; a power cut's image
+        (``System.power_cut``) is read the same way.
+        """
+        return ImageReader(self.image if image is None else image)
+
+    def verify_durable(self, image=None) -> None:
         """Check the durable structure against the golden model.
 
-        Called after ``system.crash(); system.recover()``.  Raises
+        Called after ``system.crash(); system.recover()``, or with the
+        cut's image after ``system.recover(cut)``.  Raises
         :class:`~repro.common.errors.WorkloadError` on any mismatch.
         """
         raise NotImplementedError

@@ -97,8 +97,8 @@ class BTreeWorkload(Workload):
             _, tid, key = info
             self.golden[tid].pop(key, None)
 
-    def verify_durable(self) -> None:
-        reader = self.reader()
+    def verify_durable(self, image=None) -> None:
+        reader = self.reader(image)
         for tid in range(self.threads_count):
             pairs = self.trees[tid].walk_durable(reader)
             found = {

@@ -159,8 +159,8 @@ class HashTableWorkload(Workload):
             _, tid, key = info
             self.golden[tid].pop(key, None)
 
-    def verify_durable(self) -> None:
-        reader = self.reader()
+    def verify_durable(self, image=None) -> None:
+        reader = self.reader(image)
         for tid in range(self.threads_count):
             found: dict[int, int] = {}
             for bucket in range(self.n_buckets):

@@ -167,20 +167,25 @@ class LitmusWorkload(Workload):
 
     # -- recovered-state extraction ---------------------------------------------
 
-    def durable_state(self) -> dict[str, int]:
-        """Recovered u64 value of every variable (durable image)."""
+    def durable_state(self, image=None) -> dict[str, int]:
+        """Recovered u64 value of every variable (durable image).
+
+        ``image`` defaults to the machine's own; pass a power cut's.
+        """
+        image = self.image if image is None else image
         return {
-            var: self.image.durable_read_u64(self.addr_of(var))
+            var: image.durable_read_u64(self.addr_of(var))
             for var in self.spec.vars
         }
 
-    def state_digest(self) -> str:
+    def state_digest(self, image=None) -> str:
         """Content digest of the variable region's durable lines."""
-        return self.image.durable_digest(self.state_ranges())
+        image = self.image if image is None else image
+        return image.durable_digest(self.state_ranges())
 
     # -- verification -----------------------------------------------------------
 
-    def verify_durable(self) -> None:
+    def verify_durable(self, image=None) -> None:
         """Golden-differential check over atomically-written variables.
 
         The litmus *explorer* classifies recovered states against the
@@ -189,7 +194,7 @@ class LitmusWorkload(Workload):
         outside atomic regions are skipped — their post-crash value is
         legitimately timing-dependent.
         """
-        state = self.durable_state()
+        state = self.durable_state(image)
         for var, expect in self.golden.items():
             if var in self.plain_written:
                 continue

@@ -122,8 +122,8 @@ class QueueWorkload(Workload):
             _, tid = info
             self.golden[tid].pop(0)
 
-    def verify_durable(self) -> None:
-        reader = self.reader()
+    def verify_durable(self, image=None) -> None:
+        reader = self.reader(image)
         for tid in range(self.threads_count):
             head = reader.load_u64(self.metas[tid])
             tail = reader.load_u64(self.metas[tid] + 8)

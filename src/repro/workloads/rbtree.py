@@ -383,8 +383,8 @@ class RBTreeWorkload(Workload):
             _, tid, key = info
             self.golden[tid].pop(key, None)
 
-    def verify_durable(self) -> None:
-        reader = self.reader()
+    def verify_durable(self, image=None) -> None:
+        reader = self.reader(image)
         for tid in range(self.threads_count):
             nil = self.nils[tid]
             root = reader.load_u64(self.roots[tid])

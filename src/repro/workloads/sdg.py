@@ -140,8 +140,8 @@ class GraphWorkload(Workload):
             _, tid, src, dst = info
             self.golden[tid].pop((src, dst), None)
 
-    def verify_durable(self) -> None:
-        reader = self.reader()
+    def verify_durable(self, image=None) -> None:
+        reader = self.reader(image)
         for tid in range(self.threads_count):
             found: dict[tuple[int, int], int] = {}
             for src in range(self.n_vertices):

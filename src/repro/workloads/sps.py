@@ -79,8 +79,8 @@ class SpsWorkload(Workload):
         perm = self.golden[tid]
         perm[i], perm[j] = perm[j], perm[i]
 
-    def verify_durable(self) -> None:
-        reader = self.reader()
+    def verify_durable(self, image=None) -> None:
+        reader = self.reader(image)
         for tid in range(self.threads_count):
             for slot, original in enumerate(self.golden[tid]):
                 tag = reader.load_u64(self._slot_addr(tid, slot))

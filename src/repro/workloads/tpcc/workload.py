@@ -92,8 +92,8 @@ class TpccWorkload(Workload):
 
     # -- verification --------------------------------------------------------------------------
 
-    def verify_durable(self) -> None:
-        reader = self.reader()
+    def verify_durable(self, image=None) -> None:
+        reader = self.reader(image)
         # District counters match the committed transaction count.
         districts = self.tables.district.walk_durable(reader)
         for d_key, row in districts.items():

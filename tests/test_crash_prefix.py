@@ -1,19 +1,17 @@
 """Shared-prefix crash executor vs. independent crash runs.
 
 ``execute_crash_point`` keeps one live machine per process, advances it
-from crash cycle to crash cycle and forks a child per point to cut
-power, recover and check.  These tests hold it to the per-point
-semantics of :func:`~repro.harness.testbed.crash_run` — identical
-``CrashOutcome`` records and identical post-recovery durable images —
-across every crash design, unsorted and duplicate cycles, the finish
-cycle itself, divergent points, dead children and the worker pool.
+from crash cycle to crash cycle and checks each point on a power cut
+(``System.power_cut``) that the machine survives.  These tests hold it
+to the per-point semantics of :func:`~repro.harness.testbed.crash_run`
+— identical ``CrashOutcome`` records and identical post-recovery
+durable images — across every crash design, unsorted and duplicate
+cycles, the finish cycle itself, divergent points and the worker pool.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-import signal
 
 import pytest
 
@@ -46,15 +44,15 @@ def fresh_live_run():
 
 @pytest.fixture
 def digests(monkeypatch):
-    """Make forked children report their post-recovery durable digest."""
-    original = campaign_mod._crash_point_outcome
+    """Make each point report its cut's post-recovery durable digest."""
+    original = campaign_mod._crash_cut_outcome
 
-    def with_digest(spec, system, workload):
-        outcome = original(spec, system, workload)
-        outcome.digest = system.image.durable_digest()
+    def with_digest(spec, system, workload, cut):
+        outcome = original(spec, system, workload, cut)
+        outcome.digest = cut.image.durable_digest()
         return outcome
 
-    monkeypatch.setattr(campaign_mod, "_crash_point_outcome", with_digest)
+    monkeypatch.setattr(campaign_mod, "_crash_cut_outcome", with_digest)
 
 
 def independent(spec: CrashSpec) -> tuple[CrashOutcome, str | None, int]:
@@ -101,10 +99,10 @@ def test_shared_prefix_matches_independent_runs(design, digests):
             # the run's finish cycle.
             finish = reference[PAST_THE_END][2]
             assert 21_000 < finish < PAST_THE_END
-            # Unsorted (a rebuild), a duplicate (a second fork without
+            # Unsorted (a rebuild), a duplicate (a second cut without
             # running), the finish cycle (the pause fires before the
             # last thread's finishing event) and two cycles past it
-            # (the run finishes first; then a fork of the finished
+            # (the run finishes first; then a cut of the finished
             # machine).
             cycles = [9_000, 3_000, 3_000, 21_000, finish, finish + 1,
                       PAST_THE_END]
@@ -142,36 +140,6 @@ def test_pooled_sweep_matches_inline_sweep():
 
 
 SPEC = CrashSpec(design=Design.ATOM_OPT, workload="hash", crash_cycle=8_000)
-
-
-def test_child_killed_before_replying_is_an_error_naming_the_spec(
-        monkeypatch):
-    def die(spec, system, workload):
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    monkeypatch.setattr(campaign_mod, "_crash_point_outcome", die)
-    outcome = execute_crash_point(SPEC)
-    assert not outcome.ok
-    assert "died without replying (killed by signal 9)" in outcome.error
-    assert ("design=atom-opt workload=hash crash_cycle=8000 seed=7"
-            in outcome.error)
-    # The parent's machine survived its child: the next point of the
-    # run is exact.
-    monkeypatch.undo()
-    later = dataclasses.replace(SPEC, crash_cycle=12_000)
-    assert execute_crash_point(later) == independent(later)[0]
-
-
-def test_child_exception_is_an_error_naming_the_spec(monkeypatch):
-    def broken(spec, system, workload):
-        raise KeyError("lost")
-
-    monkeypatch.setattr(campaign_mod, "_crash_point_outcome", broken)
-    outcome = execute_crash_point(SPEC)
-    assert not outcome.ok
-    assert outcome.error.startswith(
-        "crash-point child failed on [kind=crash design=atom-opt "
-        "workload=hash crash_cycle=8000 seed=7]: KeyError: 'lost'")
 
 
 def test_error_while_advancing_drops_the_machine():

@@ -1,10 +1,15 @@
 """Two-image memory model: volatile versus durable semantics."""
 
+import os
+import signal
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import MemoryError_
+from repro.mem import image as image_mod
 from repro.mem.image import MemoryImage
 
 
@@ -105,6 +110,69 @@ class TestCrashSemantics:
         image.crash()
         assert image.read(0, 8192) == bytes(shadow_durable)
         assert image.durable_read(0, 8192) == bytes(shadow_durable)
+
+    @given(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=4000),
+                  st.binary(min_size=1, max_size=64),
+                  st.booleans()),
+        max_size=30,
+    ))
+    def test_durable_copy_is_the_crashed_image(self, ops):
+        """A durable copy holds what crash() leaves; the source lives on."""
+        image = MemoryImage(8192, line_checksums=True)
+        for addr, data, persisted in ops:
+            if addr + len(data) > 8192:
+                continue
+            image.write(addr, data)
+            if persisted:
+                image.persist(addr, data)
+        planes = (image.read(0, 8192), image.durable_read(0, 8192))
+        copy = image.durable_copy()
+        assert (image.read(0, 8192), image.durable_read(0, 8192)) == planes
+        image.crash()
+        assert copy.read(0, 8192) == image.read(0, 8192)
+        assert copy.durable_read(0, 8192) == image.durable_read(0, 8192)
+        assert copy.durable_digest() == image.durable_digest()
+        assert copy._line_crc == image._line_crc
+
+
+class TestBufferPool:
+    #: A size no other test uses, so this pool slot is the test's own.
+    SIZE = 64 * 1031
+
+    def test_pooled_planes_stay_private_across_fork(self):
+        """A forked worker writing through pooled buffers leaves the
+        parent's pooled copies zero: the planes are private mappings."""
+        pool = image_mod._BUFFER_POOL
+        image = MemoryImage(self.SIZE)
+        image.write(0, b"v" * 64)
+        image.persist(128, b"d" * 64)
+        image.recycle()
+        try:
+            assert len(pool[self.SIZE]) == 1
+            volatile, durable = pool[self.SIZE][0]
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    child = MemoryImage(self.SIZE)
+                    drew_pool = child._volatile is volatile
+                    child.write(0, b"\xff" * 64)
+                    child.persist(128, b"\xee" * 64)
+                finally:
+                    os._exit(0 if drew_pool else 1)
+            deadline = time.monotonic() + 30
+            while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+                if time.monotonic() > deadline:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    pytest.fail("forked child did not exit")
+                time.sleep(0.01)
+            assert os.waitstatus_to_exitcode(done[1]) == 0
+            zero = bytes(self.SIZE)
+            assert volatile[:] == zero
+            assert durable[:] == zero
+        finally:
+            pool.pop(self.SIZE, None)
 
 
 class TestDurableDigestExtract:

@@ -58,7 +58,8 @@ class TestSecondRecoveryAfterRecovery:
     def test_redo_second_replay_changes_nothing(self):
         system, workload, _ = crash_run("hash", Design.REDO, MID_RUN)
         digest = system.image.durable_digest()
-        assert system.redo.recover() == 0  # committed prefix fully applied
+        # The committed prefix is fully applied: nothing to replay.
+        assert system.redo.recover().updates_rolled_back == 0
         assert system.image.durable_digest() == digest
         workload.verify_durable()
 
