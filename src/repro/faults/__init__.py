@@ -16,8 +16,10 @@ This package provides both halves:
 * :mod:`repro.faults.models` — declarative :class:`FaultModel`\\ s
   (single-controller loss, torn log-line writes, ADR drain truncation,
   log-region corruption, and ``a+b`` :class:`MultiFault` composites
-  striking in one power failure) and the :class:`FaultInjector` that
-  hooks them into ``System.crash()``;
+  striking in one power failure), the passive :class:`FaultTaps` that
+  record the writes in flight, and the :class:`FaultInjector` that
+  applies a model to ``System.power_cut(injector)`` or
+  ``System.crash()``;
 * :mod:`repro.faults.analytics` — :class:`RecoveryCost`, the
   per-controller recovery cost report (lines scanned, records
   undone/applied, modeled recovery cycles) that

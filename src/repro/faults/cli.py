@@ -150,8 +150,10 @@ def main(argv: list[str] | None = None) -> int:
                              "--trace-point) to Chrome-trace JSON")
     parser.add_argument("--trace-point", type=int, default=None,
                         metavar="INDEX",
-                        help="matrix-point index to trace with --trace "
-                             "(default 0: the first point)")
+                        help="matrix-point index to trace with --trace, "
+                             "in the matrix's run-major order (design, "
+                             "workload, seed, crash cycle, model; "
+                             "default 0: the first point)")
     parser.add_argument("--list", action="store_true",
                         help="list fault models (with parameters) and exit")
     add_fault_policy_flags(parser)

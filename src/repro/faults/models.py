@@ -70,11 +70,14 @@ checksummed *format* structure: the detection contract only binds when
 the per-line checksum plane is enabled — without it the sweep counts
 the unflagged damage in the silent-corruption bucket instead.
 
-The :class:`FaultInjector` is the bridge into the machine: it taps log
-writes at the memory controllers (issue/persist, so it always knows the
-oldest in-flight log line — the one "on the wires") and implements the
-hook points :meth:`repro.runtime.system.System.crash` calls during the
-power-failure sequence.
+Two classes bridge into the machine.  :class:`FaultTaps` record the
+log and data writes at the memory controllers (issue/persist, so they
+always know the oldest in-flight line — the one "on the wires") while
+the machine runs.  A :class:`FaultInjector` reads them at one power
+failure and implements the hook points that
+:meth:`repro.runtime.system.System.power_cut` and
+:meth:`~repro.runtime.system.System.crash` call, in the same order, on
+the image each one leaves for recovery.
 """
 
 from __future__ import annotations
@@ -505,14 +508,68 @@ def resolve_inapplicable(
     return usable, [reason for _, reason in dropped]
 
 
-class FaultInjector:
-    """Applies one :class:`FaultModel` during a power failure.
+class FaultTaps:
+    """Passive recorders of the writes a power failure can catch in flight.
 
-    Install with :meth:`install` before the workload runs; the memory
-    controllers then report every log-region write (issue and persist),
-    which keeps :attr:`_inflight` an exact FIFO of the lines that would
-    be lost — or torn — when power dies.  ``System.crash()`` drives the
-    hook points in sequence; see that method for the ordering.
+    Installed on a machine before it runs (:meth:`install`), the taps
+    keep, per controller, an exact FIFO of the log-region lines
+    (:attr:`log`) and of the post-gate data lines (:attr:`data_lines`)
+    written but not yet persisted, and make the channels track the
+    writes in the device, which a clean shutdown drain must complete
+    first.  Together they cover every fault model.  The taps schedule
+    no event and change no timing, so a tapped run is the untapped run.
+
+    A :class:`FaultInjector` reads them at the cut, so a run built with
+    one tap set serves the points of every model.
+    """
+
+    def __init__(self):
+        #: mc_id -> OrderedDict[addr, payload] of in-flight log writes.
+        self.log: dict[int, OrderedDict[int, bytes]] = {}
+        #: mc_id -> OrderedDict[addr, payload] of in-flight data writes.
+        self.data_lines: dict[int, OrderedDict[int, bytes]] = {}
+
+    def install(self, system) -> "FaultTaps":
+        system.fault_taps = self
+        for mc in system.controllers:
+            mc.fault_taps = self
+            for channel in mc.channels:
+                channel.track_inflight_writes = True
+        return self
+
+    # -- controller taps (hot path only while installed) ----------------------
+
+    def note_log_write(self, mc_id: int, addr: int, payload: bytes) -> None:
+        self.log.setdefault(mc_id, OrderedDict())[addr] = payload
+
+    def note_log_persisted(self, mc_id: int, addr: int) -> None:
+        queue = self.log.get(mc_id)
+        if queue is not None:
+            queue.pop(addr, None)
+
+    def note_data_write(self, mc_id: int, addr: int, payload: bytes) -> None:
+        self.data_lines.setdefault(mc_id, OrderedDict())[addr] = payload
+
+    def note_data_persisted(self, mc_id: int, addr: int) -> None:
+        queue = self.data_lines.get(mc_id)
+        if queue is not None:
+            queue.pop(addr, None)
+
+
+class FaultInjector:
+    """Applies one :class:`FaultModel` at one power failure.
+
+    The injector binds to a machine (:meth:`bind`), which checks the
+    model against it and picks up the machine's :class:`FaultTaps`:
+    the FIFOs of the lines that would be lost — or torn — when power
+    dies.  Its hook points then act on one image in the crash order
+    ``System.crash()`` follows: the loss models' survivors drain, the
+    lost controllers drop their queues, a line on the wires tears, the
+    ADR flush takes its line budget, and media damage lands after the
+    cut.  ``System.power_cut(injector)`` drives them on the cut's copy
+    of the durable plane and leaves the machine running; with the
+    injector installed (:meth:`install`), ``System.crash()`` drives
+    them on the machine's own image.  One injector serves one cut.
 
     A :class:`MultiFault` model is flattened into its members here: each
     hook point consults the (at most one) member of the relevant kind,
@@ -560,15 +617,12 @@ class FaultInjector:
         self.drained_writes = 0
         #: The loss member(s) already wrote their detail clause.
         self._loss_marked = False
-        self.system = None
-        #: mc_id -> OrderedDict[addr, payload] of in-flight log writes.
-        self._inflight: dict[int, OrderedDict[int, bytes]] = {}
-        #: mc_id -> OrderedDict[addr, payload] of in-flight data writes
-        #: (tracked only when a torn-data member is present).
-        self._inflight_data: dict[int, OrderedDict[int, bytes]] = {}
-        #: Controllers that took the clean quiet-drain path: their log
-        #: FIFO taps are stale (drained persists fire no callbacks), so
-        #: the torn-log tear must skip them.
+        #: The bound machine's address layout and taps (see :meth:`bind`).
+        self.layout = None
+        self.taps: FaultTaps | None = None
+        #: Controllers that took the clean quiet-drain path: every line
+        #: they had queued is on the cells (and ``System.crash``'s drain
+        #: leaves their tap FIFOs stale), so the tears skip them.
         self._drained_ids: set[int] = set()
         #: Media-damage ground truth: line base -> the post-damage line
         #: bytes this injector planted.  The sweep diffs it against the
@@ -576,48 +630,59 @@ class FaultInjector:
         #: *silent* corruption (damage neither healed nor detected).
         self.damage: dict[int, bytes] = {}
 
-    @property
-    def taps_data_writes(self) -> bool:
-        """The controllers' data path should report issue/persist."""
-        return self._torn_data is not None
-
     def _mark(self, detail: str) -> None:
         self.applied = True
         self.detail = f"{self.detail}; {detail}" if self.detail else detail
 
     # -- wiring ---------------------------------------------------------------
 
-    def install(self, system) -> "FaultInjector":
-        self.system = system
-        system.fault_injector = self
-        track = bool(self._lost_ids)
-        for mc in system.controllers:
-            mc.fault_injector = self
-            if track:
-                # Only the controller-loss drain/drop accounting reads
-                # the in-device write list; every other model leaves the
-                # channels on the lean path.
-                for channel in mc.channels:
-                    channel.track_inflight_writes = True
+    def _named_controllers(self) -> list[tuple[FaultModel, int]]:
+        """Every ``(member, controller id)`` the model names explicitly."""
+        named = []
+        for member in (self._loss, self._torn, self._torn_data, self._adr,
+                       self._corrupt):
+            if member is not None and member.controller is not None:
+                named.append((member, member.controller))
+        if self._corr_loss is not None:
+            named.extend((self._corr_loss, mc_id)
+                         for mc_id in self._corr_loss.controllers)
+        return named
+
+    def bind(self, system) -> "FaultInjector":
+        """Check the model against ``system`` and read its taps.
+
+        Raises :class:`ConfigError` when the model names a controller
+        the machine lacks, or when the machine was built without
+        :class:`FaultTaps`.
+        """
+        count = len(system.controllers)
+        for member, mc_id in self._named_controllers():
+            if not 0 <= mc_id < count:
+                raise ConfigError(
+                    f"fault model {member.kind!r} names controller "
+                    f"{mc_id}, but the machine has {count} memory "
+                    f"controller(s) (ids 0-{count - 1})"
+                )
+        if system.fault_taps is None:
+            raise ConfigError(
+                f"fault model {self.model.kind!r} needs a machine built "
+                f"with fault taps (install FaultTaps before it runs)"
+            )
+        self.layout = system.layout
+        self.taps = system.fault_taps
         return self
 
-    # -- controller taps (hot path only while installed) ----------------------
+    def install(self, system) -> "FaultInjector":
+        """Make ``system.crash()`` apply this injector.
 
-    def note_log_write(self, mc_id: int, addr: int, payload: bytes) -> None:
-        self._inflight.setdefault(mc_id, OrderedDict())[addr] = payload
-
-    def note_log_persisted(self, mc_id: int, addr: int) -> None:
-        queue = self._inflight.get(mc_id)
-        if queue is not None:
-            queue.pop(addr, None)
-
-    def note_data_write(self, mc_id: int, addr: int, payload: bytes) -> None:
-        self._inflight_data.setdefault(mc_id, OrderedDict())[addr] = payload
-
-    def note_data_persisted(self, mc_id: int, addr: int) -> None:
-        queue = self._inflight_data.get(mc_id)
-        if queue is not None:
-            queue.pop(addr, None)
+        Installs :class:`FaultTaps` unless the machine already has
+        them; call before the workload runs.
+        """
+        if system.fault_taps is None:
+            FaultTaps().install(system)
+        self.bind(system)
+        system.fault_injector = self
+        return self
 
     # -- crash-sequence hook points -------------------------------------------
 
@@ -666,37 +731,38 @@ class FaultInjector:
             f"{self._adr.lines} line(s)"
         )
 
-    def at_power_failure(self, system) -> None:
-        """Apply image-level damage that happens *at* the cut.
+    def at_power_failure(self, image) -> None:
+        """Apply the damage that happens *at* the cut to ``image``.
 
-        Called after the channel queues are dropped and before the ADR
-        flush: the torn-write models persist a prefix of the line that
-        was on the wires (the oldest in-flight write of the region —
-        everything behind it in the FIFO is dropped wholesale,
-        everything before it already persisted).  Controllers that took
-        the quiet-drain path are skipped: their FIFO taps are stale
-        (drained persists fire no callbacks) and every queued line is
-        already fully on the cells — there is nothing left to tear.
+        Called after the channel queues are dropped (or drained) and
+        before the ADR flush: the torn-write models persist a prefix of
+        the line that was on the wires (the oldest in-flight write of
+        the region — everything behind it in the FIFO is dropped
+        wholesale, everything before it already persisted).
+        Controllers that took the quiet-drain path are skipped: every
+        line they had queued is already fully on the cells — there is
+        nothing left to tear.
         """
         if self._torn is not None:
-            self._tear_inflight_log(system)
+            self._tear_inflight_log(image)
         if self._torn_data is not None:
-            self._tear_inflight_data(system)
+            self._tear_inflight_data(image)
 
-    def _tear_inflight_log(self, system) -> None:
+    def _tear_inflight_log(self, image) -> None:
+        inflight = self.taps.log
         targets = (
             [self._torn.controller] if self._torn.controller is not None
-            else sorted(self._inflight)
+            else sorted(inflight)
         )
         for mc_id in targets:
             if mc_id in self._drained_ids:
                 continue
-            queue = self._inflight.get(mc_id)
+            queue = inflight.get(mc_id)
             if not queue:
                 continue
             addr, payload = next(iter(queue.items()))
-            system.image.persist_torn(addr, payload, self._torn.prefix_bytes)
-            self.tore_header = self._is_header_line(system.layout, addr)
+            image.persist_torn(addr, payload, self._torn.prefix_bytes)
+            self.tore_header = self._is_header_line(self.layout, addr)
             what = "header" if self.tore_header else "entry"
             self._mark(
                 f"tore {what} line {addr:#x} on mc{mc_id} at "
@@ -704,20 +770,21 @@ class FaultInjector:
             )
             return  # exactly one line is on the wires
 
-    def _tear_inflight_data(self, system) -> None:
+    def _tear_inflight_data(self, image) -> None:
+        inflight = self.taps.data_lines
         targets = (
             [self._torn_data.controller]
             if self._torn_data.controller is not None
-            else sorted(self._inflight_data)
+            else sorted(inflight)
         )
         for mc_id in targets:
             if mc_id in self._drained_ids:
                 continue
-            queue = self._inflight_data.get(mc_id)
+            queue = inflight.get(mc_id)
             if not queue:
                 continue
             addr, payload = next(iter(queue.items()))
-            changed = system.image.persist_torn(
+            changed = image.persist_torn(
                 addr, payload, self._torn_data.prefix_bytes
             )
             if not changed:
@@ -725,40 +792,39 @@ class FaultInjector:
                 # byte — no mixed-epoch line exists, the point is
                 # vacuous for this member.
                 continue
-            self.note_damage(system.image, addr)
+            self.note_damage(image, addr)
             self._mark(
                 f"tore data line {addr:#x} on mc{mc_id} at "
                 f"{self._torn_data.prefix_bytes}/{CACHE_LINE_BYTES} bytes"
             )
             return  # exactly one line is on the wires
 
-    def after_crash(self, system) -> None:
+    def after_crash(self, image) -> None:
         """Apply post-crash media damage (log-corruption, bit-rot)."""
         if self._corrupt is not None:
-            self._corrupt_newest_header(system)
+            self._corrupt_newest_header(image)
         if self._bit_rot is not None:
-            self._apply_bit_rot(system)
+            self._apply_bit_rot(image)
 
-    def _corrupt_newest_header(self, system) -> None:
-        target = self._newest_durable_header(system)
+    def _corrupt_newest_header(self, image) -> None:
+        target = self._newest_durable_header(image)
         if target is None:
             return
         addr, mc_id, seq = target
-        line = bytearray(system.image.durable_read(addr, CACHE_LINE_BYTES))
+        line = bytearray(image.durable_read(addr, CACHE_LINE_BYTES))
         flip = self._corrupt.flip_bytes
         for i in range(flip):
             line[i] ^= 0xFF
-        if system.image.damage(addr, bytes(line)):
-            self.note_damage(system.image, addr)
+        if image.damage(addr, bytes(line)):
+            self.note_damage(image, addr)
         self._mark(
             f"flipped {flip} bytes of header seq={seq} at {addr:#x} "
             f"on mc{mc_id}"
         )
 
-    def _apply_bit_rot(self, system) -> None:
+    def _apply_bit_rot(self, image) -> None:
         model = self._bit_rot
-        image = system.image
-        layout = system.layout
+        layout = self.layout
         threshold = int(model.rate * float(2 ** 32))
         flipped = 0
         for base in image.touched_durable_lines():
@@ -811,16 +877,17 @@ class FaultInjector:
             layout.log.entries_per_record * CACHE_LINE_BYTES
         )
 
-    def _newest_durable_header(self, system):
+    def _newest_durable_header(self, image):
         """Find the highest-seq durable valid header of an active update.
 
-        Walks the (already flushed) ADR blocks exactly like recovery
-        will, so the corrupted line is one recovery would otherwise have
-        trusted.  Returns ``(header_addr, mc_id, seq)`` or ``None``.
+        Walks the (already flushed) ADR blocks of ``image`` exactly like
+        recovery will, so the corrupted line is one recovery would
+        otherwise have trusted.  Returns ``(header_addr, mc_id, seq)``
+        or ``None``.
         """
         from repro.mem.layout import RecordAddress
 
-        layout = system.layout
+        layout = self.layout
         cfg = layout.log
         targets = (
             [self._corrupt.controller]
@@ -829,7 +896,7 @@ class FaultInjector:
         )
         best = None
         for mc_id in targets:
-            blob = system.image.durable_read(
+            blob = image.durable_read(
                 layout.adr_base(mc_id), layout.adr_block_bytes
             )
             try:
@@ -848,7 +915,7 @@ class FaultInjector:
                         rec = RecordAddress(mc_id, bucket, index)
                         addr = layout.record_header_addr(rec)
                         header = RecordHeader.decode(
-                            system.image.durable_read(addr, CACHE_LINE_BYTES)
+                            image.durable_read(addr, CACHE_LINE_BYTES)
                         )
                         if not header.trustworthy or header.owner != aus.slot:
                             continue

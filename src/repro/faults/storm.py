@@ -75,15 +75,19 @@ class StormReport:
         }
 
 
-def storm_recover(system, *, seed: int = 0,
+def storm_recover(system, cut=None, *, seed: int = 0,
                   max_attempts: int = 64) -> StormReport:
-    """Recover ``system`` through a seeded storm of mid-recovery crashes.
+    """Recover through a seeded storm of mid-recovery crashes.
 
-    Call in place of ``system.recover()`` after ``system.crash()``.  The
-    merged report of every attempt lands on ``StormReport.report`` (its
-    ``interrupted`` flag reflects only the *final* attempt, so a
-    converged storm reads as a completed recovery).
+    Call in place of ``system.recover(cut)``: with ``cut`` (a
+    ``System.power_cut``) the storm recovers the cut and leaves the
+    machine as it was, without it the machine's own image after
+    ``system.crash()``.  The merged report of every attempt lands on
+    ``StormReport.report`` (its ``interrupted`` flag reflects only the
+    *final* attempt, so a converged storm reads as a completed
+    recovery).
     """
+    image = system.image if cut is None else cut.image
     storm = StormReport(seed=seed)
     merged = None
     report = None
@@ -91,7 +95,7 @@ def storm_recover(system, *, seed: int = 0,
         budget = storm_budget(seed, attempt)
         storm.budgets.append(budget)
         storm.attempts += 1
-        report = system.recover(write_budget=budget)
+        report = system.recover(cut, write_budget=budget)
         if merged is None:
             merged = report
         else:
@@ -104,13 +108,13 @@ def storm_recover(system, *, seed: int = 0,
         # unbudgeted rather than hand back a half-recovered machine.
         storm.attempts += 1
         storm.budgets.append(0)
-        report = system.recover()
+        report = system.recover(cut)
         merged.merge(report)
-    storm.digest = system.image.durable_digest()
+    storm.digest = image.durable_digest()
     # Convergence probe: a further full pass must be a no-op.
-    probe = system.recover()
+    probe = system.recover(cut)
     storm.fixpoint = (not probe.interrupted
-                      and system.image.durable_digest() == storm.digest)
+                      and image.durable_digest() == storm.digest)
     merged.interrupted = report.interrupted
     storm.report = merged
     return storm

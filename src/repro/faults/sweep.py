@@ -6,8 +6,12 @@ worker and memoised in the content-addressed result cache under the
 ``"fault"`` kind, so a warm re-run of a whole matrix is served from
 disk.
 
-Each point builds a scaled-down machine, installs the spec's fault
-injector, crashes at the injection cycle, recovers, re-recovers (the
+The points of one (design, workload, seed) run share it: the run's
+scaled-down machine is built once with the fault taps every model reads
+(:class:`~repro.faults.models.FaultTaps`) and paused at each injection
+cycle in turn.  There each point takes a power cut of the running
+machine with its own fault injector applied
+(``System.power_cut(injector)``), recovers the cut, re-recovers it (the
 double-crash idempotence check), and judges the outcome by the model's
 contract:
 
@@ -52,7 +56,8 @@ from dataclasses import dataclass, field
 from repro.common.errors import SimulationError, WorkloadError
 from repro.config import Design
 from repro.faults.analytics import RecoveryCost
-from repro.faults.models import FaultInjector, default_fault_models, fault_from_dict
+from repro.faults.models import (FaultInjector, FaultTaps,
+                                 default_fault_models, fault_from_dict)
 from repro.harness.report import format_table
 
 #: Default design axis: every design with a recovery story.
@@ -158,40 +163,77 @@ def fault_worker(spec: FaultSpec) -> tuple:
 
 
 def execute_fault_point(spec: FaultSpec) -> FaultOutcome:
-    """Run one point: build, inject, crash, recover, re-recover, judge.
+    """Run one point: inject at a power cut, recover, re-recover, judge.
+
+    The point is checked on a ``System.power_cut`` of this process's
+    live run of ``spec``'s (design, workload, seed, ...) run
+    (:func:`repro.harness.campaign.cut_point`), which leaves out the
+    fault model, crash cycle and storm seed: the run is built with the
+    fault taps every model reads, so the points of one run submitted in
+    ascending crash-cycle order simulate it once, whatever their model.
 
     A failed check (or a modelled-hardware deadlock) is an *outcome*,
     recorded with ``ok=False`` — a sweep reports every divergence
-    instead of dying on the first one.
+    instead of dying on the first one.  A model naming a controller the
+    machine lacks raises :class:`~repro.common.errors.ConfigError`.
     """
-    from repro.harness.testbed import crash_run
+    from repro.harness.campaign import cut_point
+    from repro.harness.testbed import (CRASH_RUN_MAX_CYCLES,
+                                       recover_power_failure,
+                                       start_crash_run)
 
     model = fault_from_dict(spec.fault)
     if not model.applicable(spec.design):
         return FaultOutcome(spec=spec, ok=True, applied=False,
                             detail="model inapplicable to design")
     injector = FaultInjector(model)
-    try:
-        system, workload, report = crash_run(
-            spec.workload, spec.design, spec.crash_cycle, seed=spec.seed,
+
+    def start():
+        system, workload = start_crash_run(
+            spec.workload, spec.design, seed=spec.seed,
             entry_bytes=spec.entry_bytes, threads=spec.threads,
             txns_per_thread=spec.txns_per_thread,
             initial_items=spec.initial_items, num_cores=spec.num_cores,
-            injector=injector, verify=False, line_checksums=spec.checksums,
-            storm_seed=spec.storm, **spec.workload_kw,
+            instrument=FaultTaps().install, line_checksums=spec.checksums,
+            **spec.workload_kw,
+        )
+        return system, workload, CRASH_RUN_MAX_CYCLES
+
+    def check(system, workload, cut) -> FaultOutcome:
+        report = recover_power_failure(system, cut, storm_seed=spec.storm)
+        return judge_fault_point(spec, injector, system, workload, report,
+                                 cut)
+
+    try:
+        return cut_point(
+            dataclasses.replace(spec, fault={}, crash_cycle=0, storm=None),
+            spec.crash_cycle, start, check, injector=injector,
         )
     except (WorkloadError, SimulationError) as exc:
         return FaultOutcome(spec=spec, ok=False, applied=injector.applied,
                             detail=injector.detail,
                             error=f"{type(exc).__name__}: {exc}")
+
+
+def judge_fault_point(spec: FaultSpec, injector: FaultInjector, system,
+                      workload, report, cut=None) -> FaultOutcome:
+    """Judge a recovered fault point by its model's contract.
+
+    ``report`` is the first recovery (or the storm's merged report) of
+    ``cut`` (a ``System.power_cut``), or of the machine itself after
+    ``System.crash`` when ``cut`` is ``None``; ``injector`` applied the
+    fault at that power failure.
+    """
+    model = injector.model
+    image = system.image if cut is None else cut.image
     cost: RecoveryCost = report.cost
-    storm = getattr(report, "storm", None)
+    storm = report.storm
     # Double-crash path: a second recovery (the state a crash during the
     # first one leads to) must leave the durable image byte-identical —
     # in particular, a rejected torn/corrupt record must stay rejected.
-    first = system.image.durable_digest()
-    system.recover()
-    idempotent = system.image.durable_digest() == first
+    first = image.durable_digest()
+    system.recover(cut)
+    idempotent = image.durable_digest() == first
 
     # Silent-corruption accounting: every line the injector damaged must
     # end up healed (recovery overwrote it) or flagged (in the report's
@@ -201,7 +243,7 @@ def execute_fault_point(spec: FaultSpec) -> FaultOutcome:
     for addr, damaged in injector.damage.items():
         if addr in flagged:
             continue
-        if bytes(system.image.durable_read(addr, len(damaged))) != damaged:
+        if bytes(image.durable_read(addr, len(damaged))) != damaged:
             continue  # healed: undo/replay wrote over the damage
         silent += 1
     cost.silent_corruption = silent
@@ -217,7 +259,7 @@ def execute_fault_point(spec: FaultSpec) -> FaultOutcome:
     error = ""
     if model.preserves_consistency:
         try:
-            workload.verify_durable()
+            workload.verify_durable(image)
         except WorkloadError as exc:
             ok = False
             error = f"{type(exc).__name__}: {exc}"
@@ -244,7 +286,7 @@ def execute_fault_point(spec: FaultSpec) -> FaultOutcome:
             f"crash storm (seed={storm.seed}) did not converge to a "
             f"recovery fixpoint after {storm.attempts} attempts"
         )
-    outcome = FaultOutcome(
+    return FaultOutcome(
         spec=spec, ok=ok, applied=injector.applied,
         detections=cost.detections, commits=workload.commits,
         rolled_back=report.updates_rolled_back,
@@ -255,10 +297,6 @@ def execute_fault_point(spec: FaultSpec) -> FaultOutcome:
         storm_fixpoint=storm.fixpoint if storm else True,
         detail=injector.detail, error=error,
     )
-    # The system was private to this point and everything the caller
-    # needs is in the outcome: recycle the image buffers.
-    system.image.recycle()
-    return outcome
 
 
 def fault_grid(
@@ -270,14 +308,20 @@ def fault_grid(
     checksums: bool = False,
     storm: int | None = None,
 ) -> list[FaultSpec]:
-    """Enumerate the matrix, dropping inapplicable (design, model) cells."""
+    """Enumerate the matrix, dropping inapplicable (design, model) cells.
+
+    Run-major, as :func:`repro.harness.campaign.crash_grid` is: the axes
+    vary design × workload × seed × crash cycle × model, so each run's
+    points are adjacent in ascending cycle order, and the models of one
+    cycle cut the same pause (see :func:`execute_fault_point`).
+    """
     if models is None:
         models = default_fault_models()
     return [
         FaultSpec(design=d, workload=w, fault=m.to_dict(), crash_cycle=c,
                   seed=s, checksums=checksums, storm=storm)
-        for d, w, m, c, s in itertools.product(
-            designs, workloads, models, crash_cycles, seeds
+        for d, w, s, c, m in itertools.product(
+            designs, workloads, seeds, crash_cycles, models
         )
         if m.applicable(d)
     ]

@@ -24,7 +24,8 @@ checks the durable image against the golden model replayed over exactly
 the committed transactions.  The points of one run share its simulated
 prefix: the run is simulated once, and at each point a power cut of the
 running machine is recovered and checked while the machine runs on
-(:func:`cut_point`, which serves plain litmus points too).
+(:func:`cut_point`, which serves the fault sweep's points and every
+untraced litmus point too).
 """
 
 from __future__ import annotations
@@ -848,12 +849,19 @@ class Campaign:
 
         ``specs`` are :class:`repro.faults.sweep.FaultSpec`s; the result
         is order-preserving :class:`FaultOutcome`s.  Imported lazily,
-        like the litmus hook.
+        like the litmus hook.  The points of one run share it whatever
+        their fault model and storm seed (see :func:`cut_point`), so
+        submit each run's points together in ascending crash-cycle
+        order, as :func:`repro.faults.sweep.fault_grid` does.  The live
+        run is dropped after the batch.
         """
         from repro.faults.sweep import _outcome_from_dict, fault_worker
 
-        return self._map(list(specs), fault_worker,
-                         _outcome_from_dict, "fault")
+        try:
+            return self._map(list(specs), fault_worker,
+                             _outcome_from_dict, "fault")
+        finally:
+            _drop_live_run()
 
 
 # -- crash sweep --------------------------------------------------------------
@@ -979,21 +987,28 @@ def _drop_live_run() -> None:
         _live = None
 
 
-def cut_point(key, cycle: int | None, start, check):
+def cut_point(key, cycle: int | None, start, check, injector=None):
     """Check a power cut of run ``key`` at ``cycle`` on the live run.
 
-    The crash-point executor of the crash sweep and of plain litmus
-    points.  This process keeps one live run (:class:`_LiveRun`).  When
-    it serves the point it advances to ``cycle``; otherwise ``start``
-    rebuilds it.  ``check(system, workload, cut)`` then judges a
-    ``System.power_cut`` of the machine and returns the point's outcome.
-    The machine is left intact and runs on for the next point, and the
-    cut's image is recycled afterwards.  Points of one run submitted in
-    ascending cycle order therefore simulate the run once.
+    The crash-point executor of the crash sweep, the fault sweep and
+    every untraced litmus point.  This process keeps one live run
+    (:class:`_LiveRun`).  When it serves the point it advances to
+    ``cycle``; otherwise ``start`` rebuilds it.  ``check(system,
+    workload, cut)`` then judges a ``System.power_cut(injector)`` of the
+    machine and returns the point's outcome.  ``injector`` (a
+    :class:`repro.faults.models.FaultInjector`, one per point) makes
+    the cut partial; ``start`` must build the run with the fault taps
+    it reads.  The machine is left intact and runs on for the next
+    point, and the cut's image is recycled afterwards.  Points of one
+    run submitted in ascending cycle order therefore simulate the run
+    once.  ``key`` decides which points are one run: the fault sweep
+    leaves the fault model and storm seed out of it, so every model's
+    points share the run.
 
     An error while building or running drops the live run and
-    propagates.  An error from ``check`` propagates too, but the run is
-    kept, because a cut leaves the machine as it was.
+    propagates.  An error from the cut or from ``check`` propagates
+    too, but the run is kept, because a cut leaves the machine as it
+    was.
     """
     global _live
     if _live is not None and not _live.serves(key, cycle):
@@ -1005,7 +1020,7 @@ def cut_point(key, cycle: int | None, start, check):
     except BaseException:
         _drop_live_run()
         raise
-    cut = _live.system.power_cut()
+    cut = _live.system.power_cut(injector)
     try:
         return check(_live.system, _live.workload, cut)
     finally:

@@ -4,11 +4,13 @@ Both the unit-test suite (``tests/helpers.py``) and the benchmark
 fixtures (``benchmarks/conftest.py``) import these helpers, so the
 machine a test exercises and the machine a benchmark smoke-checks can
 never silently drift apart.  The campaign layer's crash sweep
-(:mod:`repro.harness.campaign`) builds its machines with the first half
-of :func:`crash_run` (:func:`start_crash_run`), the code path the
-crash-matrix tests use, and checks each point on a power cut
-(``System.power_cut``) where :func:`finish_crash_run` crashes the
-machine itself.
+(:mod:`repro.harness.campaign`) and the fault sweep
+(:mod:`repro.faults.sweep`) build their machines with the first half of
+:func:`crash_run` (:func:`start_crash_run`), the code path the
+crash-matrix tests use, and check each point on a power cut
+(``System.power_cut``, given the point's fault injector) where
+:func:`finish_crash_run` crashes the machine itself.  Both recover
+through :func:`recover_power_failure`.
 """
 
 from __future__ import annotations
@@ -121,18 +123,30 @@ def finish_crash_run(system, workload, *, verify: bool = True,
         # every thread finished before the scheduled cycle: cut power
         # now.
         system.crash()
-    if storm_seed is not None:
-        from repro.faults.storm import storm_recover
-
-        storm = storm_recover(system, seed=storm_seed)
-        report = storm.report
-        report.storm = storm
-    else:
-        report = system.recover()
-        report.storm = None
+    report = recover_power_failure(system, storm_seed=storm_seed)
     if verify:
         workload.verify_durable()
     return report
+
+
+def recover_power_failure(system, cut=None, *,
+                          storm_seed: int | None = None):
+    """Recover ``cut`` (a ``System.power_cut``), or the crashed machine.
+
+    One recovery pass, or with ``storm_seed`` a seeded crash storm
+    (:func:`repro.faults.storm.storm_recover`) whose merged report is
+    returned with the :class:`~repro.faults.storm.StormReport` attached
+    as ``report.storm`` (``None`` after a single pass).
+    """
+    if storm_seed is None:
+        report = system.recover(cut)
+        report.storm = None
+        return report
+    from repro.faults.storm import storm_recover
+
+    storm = storm_recover(system, cut, seed=storm_seed)
+    storm.report.storm = storm
+    return storm.report
 
 
 def crash_run(name: str, design: Design, crash_cycle: int | None, *,
@@ -149,9 +163,12 @@ def crash_run(name: str, design: Design, crash_cycle: int | None, *,
     :class:`~repro.common.errors.WorkloadError` on any divergence.
 
     ``injector`` (a :class:`repro.faults.models.FaultInjector`) turns
-    the power cut into a partial failure; the fault sweep passes
-    ``verify=False`` and applies its own per-model verdict instead of
-    the unconditional differential check.
+    the power cut into a partial failure.  This destructive path is
+    the reference the fault sweep's power cuts are tested against and
+    the path of a traced fault point: it passes ``verify=False`` and
+    applies the sweep's per-model verdict
+    (:func:`repro.faults.sweep.judge_fault_point`) instead of the
+    unconditional differential check.
 
     ``instrument`` (an observability hook, e.g. ``Tracer.install``) is
     called with the built system before the workload starts.

@@ -159,13 +159,15 @@ def execute_litmus_point(point: LitmusPoint, *,
                          instrument=None) -> LitmusOutcome:
     """Run one point: (maybe) crash, recover, extract, re-recover.
 
-    A plain point (no fault model, storm seed or ``instrument`` hook)
-    is checked on a power cut of this process's live run of its (test,
-    design, seed) cell (:func:`repro.harness.campaign.cut_point`), so a
-    cell's points submitted in ascending crash-cycle order simulate its
-    program once.  Any other point builds its own machine and cuts
-    power destructively (``System.crash``) so its fault injector,
-    storm or tracer sees the cut.
+    A point without an ``instrument`` hook is checked on a power cut of
+    this process's live run of its (test, design, seed, fault) cell
+    (:func:`repro.harness.campaign.cut_point`), so a cell's points
+    submitted in ascending crash-cycle order simulate its program once
+    whatever their storm seed.  A fault cell's run carries the fault
+    taps (:class:`~repro.faults.models.FaultTaps`) and each point
+    applies a fresh injector to its cut.  A traced point builds its own
+    machine and cuts power destructively (``System.crash``) so its
+    tracer sees the cut.
 
     A modelled-hardware failure (deadlock, invariant violation, workload
     inconsistency) is an *outcome*, recorded in ``error`` — the explorer
@@ -176,7 +178,9 @@ def execute_litmus_point(point: LitmusPoint, *,
     cell installs its :class:`~repro.obs.trace.Tracer` here).
     """
     from repro.harness.campaign import cut_point
-    from repro.harness.testbed import build_litmus_system, finish_crash_run
+    from repro.harness.testbed import (build_litmus_system,
+                                       finish_crash_run,
+                                       recover_power_failure)
 
     def start():
         spec = LitmusSpec.from_dict(point.test)
@@ -185,23 +189,32 @@ def execute_litmus_point(point: LitmusPoint, *,
         )
         if instrument is not None:
             instrument(system)
-        if point.fault is not None:
-            from repro.faults.models import FaultInjector, fault_from_dict
+        if injector is not None:
+            from repro.faults.models import FaultTaps
 
-            FaultInjector(fault_from_dict(point.fault)).install(system)
+            FaultTaps().install(system)
         workload.setup()
         system.start_threads(workload.threads())
         return system, workload, spec.max_cycles
 
     def check(system, workload, cut) -> LitmusOutcome:
-        return _recovered_outcome(point, system, workload, cut,
-                                  system.recover(cut))
+        report = recover_power_failure(system, cut, storm_seed=point.storm)
+        return _recovered_outcome(point, system, workload, cut, report)
 
     try:
-        if instrument is None and point.fault is None and point.storm is None:
-            return cut_point(dataclasses.replace(point, crash_cycle=None),
-                             point.crash_cycle, start, check)
+        injector = None
+        if point.fault is not None:
+            from repro.faults.models import FaultInjector, fault_from_dict
+
+            injector = FaultInjector(fault_from_dict(point.fault))
+        if instrument is None:
+            return cut_point(
+                dataclasses.replace(point, crash_cycle=None, storm=None),
+                point.crash_cycle, start, check, injector=injector,
+            )
         system, workload, max_cycles = start()
+        if injector is not None:
+            injector.install(system)
         if point.crash_cycle is not None:
             system.crash_at(point.crash_cycle)
         system.run(max_cycles=max_cycles)
@@ -235,7 +248,7 @@ def _recovered_outcome(point: LitmusPoint, system, workload, cut,
     first = image.durable_digest()
     system.recover(cut)
     idempotent = image.durable_digest() == first
-    storm = getattr(report, "storm", None)
+    storm = report.storm
     if storm is not None:
         # The storm's convergence verdict folds into the same axis: a
         # non-fixpoint storm is an idempotence failure.

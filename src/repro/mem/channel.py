@@ -98,8 +98,8 @@ class Channel:
         #: while dropping it would persist a record header whose entry
         #: line never landed (exactly the ordering recovery relies on).
         #: Tracking costs a closure + deque bookkeeping per write, so it
-        #: is off unless a fault injector (the only drain/drop consumer
-        #: that needs it) flips ``track_inflight_writes`` on.
+        #: is off unless the fault taps (the only drain/drop consumer
+        #: that needs it) flip ``track_inflight_writes`` on.
         self._inflight_writes: deque[ChannelRequest] = deque()
         self.track_inflight_writes = False
         self._busy_until = 0
@@ -181,6 +181,22 @@ class Channel:
         """Writes queued but not yet persisted (discarded on a crash)."""
         return len(self._write_q)
 
+    def pending_requests(self) -> int:
+        """Requests a power failure would drop (see :meth:`drop_pending`)."""
+        return (len(self._read_q) + len(self._write_q)
+                + len(self._inflight_writes))
+
+    def pending_writes_in_drain_order(self) -> list:
+        """What :meth:`drain_pending` would complete, in its order.
+
+        The completion callbacks of the writes in the device, then of
+        the write queue, then the writers parked on backpressure (each
+        re-submits one write).  Read-only: nothing runs or moves.
+        """
+        return ([req.on_done for req in self._inflight_writes]
+                + [req.on_done for req in self._write_q]
+                + list(self._write_waiters))
+
     def drop_pending(self) -> int:
         """Power failure: discard queued work.  Returns count dropped.
 
@@ -188,8 +204,7 @@ class Channel:
         are safely discarded because Invariant 2 guarantees no dependent
         data write persisted either.
         """
-        dropped = (len(self._read_q) + len(self._write_q)
-                   + len(self._inflight_writes))
+        dropped = self.pending_requests()
         self._read_q.clear()
         self._write_q.clear()
         self._inflight_writes.clear()

@@ -84,12 +84,12 @@ class _DataWrite:
 
     def release(self) -> None:
         mc = self.mc
-        inj = mc.fault_injector
-        if inj is not None and inj.taps_data_writes:
+        taps = mc.fault_taps
+        if taps is not None:
             # Post-gate tap: only a write the hardware actually issued
             # can tear — one still held by the LogM gate never reached
             # the wires (tearing it would sidestep Invariant 2).
-            inj.note_data_write(mc.mc_id, self.addr, self.payload)
+            taps.note_data_write(mc.mc_id, self.addr, self.payload)
         mc._submit_write(
             mc.data_channel, AccessKind.DATA_WRITE, self.addr,
             len(self.payload), self,
@@ -100,12 +100,12 @@ class _DataWrite:
             self.addr, self.payload, self.on_persist,
             check=True, backend_apply=self.backend_apply,
         )
-        inj = self.mc.fault_injector
-        if inj is not None and inj.taps_data_writes:
+        taps = self.mc.fault_taps
+        if taps is not None:
             # After _persist, so the tap also fires for quiet-drain
             # persists (which skip on_persist): a drained line is on the
             # cells and must leave the in-flight FIFO.
-            inj.note_data_persisted(self.mc.mc_id, self.addr)
+            taps.note_data_persisted(self.mc.mc_id, self.addr)
 
 
 class _LogRead:
@@ -186,10 +186,11 @@ class MemoryController:
         ]
         #: Attached log manager (undo designs) — set by the system builder.
         self.logm = None
-        #: Fault injector (set by FaultInjector.install): taps log-region
-        #: writes so torn-write models know the line on the wires.  None
-        #: in normal runs — the hot path pays one predictable branch.
-        self.fault_injector = None
+        #: Fault taps (set by FaultTaps.install): record the log- and
+        #: data-region writes in flight so the fault models know the
+        #: line on the wires.  None in normal runs — the hot path pays
+        #: one predictable branch.
+        self.fault_taps = None
         #: Attached redo backend (REDO design) — set by the system builder.
         self.redo_backend = None
         #: Victim cache (REDO design) — set by the system builder.
@@ -306,13 +307,13 @@ class MemoryController:
         as it would overtake its own entry data lines).
         """
         self._add_log_writes()
-        inj = self.fault_injector
-        if inj is not None:
-            inj.note_log_write(self.mc_id, addr, payload)
+        taps = self.fault_taps
+        if taps is not None:
+            taps.note_log_write(self.mc_id, addr, payload)
             inner = on_persist
 
             def on_persist() -> None:  # noqa: F811 — deliberate rebind
-                inj.note_log_persisted(self.mc_id, addr)
+                taps.note_log_persisted(self.mc_id, addr)
                 if inner is not None:
                     inner()
 
@@ -374,6 +375,28 @@ class MemoryController:
         entry either durable or also still queued.
         """
         return sum(ch.drop_pending() for ch in self._channels)
+
+    def pending_requests(self) -> int:
+        """What :meth:`crash` would drop, without dropping anything."""
+        return sum(ch.pending_requests() for ch in self._channels)
+
+    def queued_writes(self) -> list[tuple[int, bytes]]:
+        """``(addr, payload)`` of each write :meth:`drain_for_shutdown`
+        would persist, in its order, without running a callback.
+
+        Per channel (data, then log), as ``Channel.drain_pending``
+        completes them: the writes in the device, the write queue, then
+        the writers parked on backpressure (``_WriteRetry``).  A power
+        cut (``System.power_cut``) persists these into its own image
+        where ``System.crash`` drains the live queues.
+        """
+        writes = []
+        for channel in self._channels:
+            for done in channel.pending_writes_in_drain_order():
+                if isinstance(done, _WriteRetry):
+                    done = done.on_done
+                writes.append((done.addr, done.payload))
+        return writes
 
     def drain_for_shutdown(self) -> int:
         """Clean shutdown: persist every queued write before stopping.

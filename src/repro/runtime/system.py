@@ -172,8 +172,13 @@ class System:
         #: Optional fault injector (repro.faults.models.FaultInjector):
         #: turns the whole-machine power cut in crash() into a partial
         #: failure (controller loss, torn log write, ADR truncation,
-        #: log corruption).  Installed via FaultInjector.install().
+        #: log corruption).  Installed via FaultInjector.install();
+        #: power_cut() takes one per call instead.
         self.fault_injector = None
+        #: Optional fault taps (repro.faults.models.FaultTaps): passive
+        #: recorders of the writes in flight, which a fault injector
+        #: reads at the cut.  Installed via FaultTaps.install().
+        self.fault_taps = None
         #: Optional lifecycle tracer (repro.obs.trace.Tracer): records
         #: transaction spans and machine-level instants in simulated
         #: cycles.  Installed via Tracer.install(); read-only — a
@@ -360,6 +365,8 @@ class System:
         persists a prefix of the log line that was on the wires, the
         ADR flush honours a (possibly truncating) line budget, and the
         log-corruption model damages the durable image after the cut.
+        :meth:`power_cut` applies an injector in the same order to a
+        copy; this path stays the reference it is tested against.
         """
         self.crash_windows = self.sample_crash_windows()
         self._crashed = True
@@ -388,24 +395,17 @@ class System:
         if inj is not None:
             # Torn line write: happens at the instant of the cut, after
             # the queues (which held the rest of the FIFO) are gone.
-            inj.at_power_failure(self)
-        for mc in self.controllers:
-            if mc.logm is not None:
-                budget = inj.adr_budget_lines(mc.mc_id) if inj else None
-                blob = adr_mod.flush_on_power_failure(
-                    mc.logm, self.image, self.layout, max_lines=budget
-                )
-                if budget is not None and len(blob) > budget * CACHE_LINE_BYTES:
-                    inj.note_adr_truncated(mc.mc_id)
-                if trc is not None:
-                    trc.adr_flush(mc.mc_id, len(blob), self.engine.now)
+            inj.at_power_failure(self.image)
+        for mc_id, size in self._flush_adr(self.image, inj):
+            if trc is not None:
+                trc.adr_flush(mc_id, size, self.engine.now)
         if self.redo is not None:
             self.redo.crash()
         self.image.crash()
         if inj is not None:
-            inj.after_crash(self)
+            inj.after_crash(self.image)
 
-    def power_cut(self) -> PowerCut:
+    def power_cut(self, injector=None) -> PowerCut:
         """Power failure *now*, as a copy: the machine runs on untouched.
 
         Returns what :meth:`crash` would leave for recovery.  The cut
@@ -417,21 +417,62 @@ class System:
         channel queues, caches and cores are volatile and recovery never
         reads them.  REDO's commit order and applied set are copied.
 
-        The fault injector and the tracer are not consulted: fault,
-        storm and traced crash points keep :meth:`crash`.
+        ``injector`` (a :class:`repro.faults.models.FaultInjector`, bound
+        here) makes the cut partial, in ``crash``'s order, on the copy:
+        a loss model's survivors persist the writes they have queued
+        (``MemoryController.queued_writes``) where ``crash`` drains
+        them, the lost controllers report what ``crash`` would drop,
+        and then come the tears, the budgeted ADR flush and the
+        post-crash damage.  The machine must carry the fault taps the
+        injector reads.  The tracer is not consulted: traced points
+        keep :meth:`crash`.
         """
+        if injector is not None:
+            injector.bind(self)
         image = self.image.durable_copy()
         truncating = [core_id for core_id, intent
                       in self._commit_intents.items() if intent["cleared"]]
-        for mc in self.controllers:
-            if mc.logm is not None:
-                adr_mod.flush_on_power_failure(
-                    mc.logm, image, self.layout, truncating=truncating
-                )
+        if injector is not None:
+            for mc in self.controllers:
+                if injector.wants_drain() and \
+                        injector.controller_survives(mc.mc_id):
+                    writes = mc.queued_writes()
+                    for addr, payload in writes:
+                        image.persist(addr, payload)
+                    injector.note_drained(mc.mc_id, len(writes))
+                else:
+                    injector.note_controller_dropped(
+                        mc.mc_id, mc.pending_requests())
+            injector.at_power_failure(image)
+        self._flush_adr(image, injector, truncating)
         cut = PowerCut(image=image, windows=self.sample_crash_windows())
         if self.redo is not None:
             cut.commit_order, cut.applied = self.redo.durable_log()
+        if injector is not None:
+            injector.after_crash(image)
         return cut
+
+    def _flush_adr(self, image, inj, truncating=()) -> list[tuple[int, int]]:
+        """The ADR window: flush each LogM's critical structures.
+
+        Writes each block into ``image`` through the flush both
+        :meth:`crash` and :meth:`power_cut` use, within the fault
+        injector's line budget when ``inj`` sets one.  Returns
+        ``(mc_id, block bytes)`` per flushed controller.
+        """
+        flushed = []
+        for mc in self.controllers:
+            if mc.logm is None:
+                continue
+            budget = inj.adr_budget_lines(mc.mc_id) if inj else None
+            blob = adr_mod.flush_on_power_failure(
+                mc.logm, image, self.layout, max_lines=budget,
+                truncating=truncating,
+            )
+            if budget is not None and len(blob) > budget * CACHE_LINE_BYTES:
+                inj.note_adr_truncated(mc.mc_id)
+            flushed.append((mc.mc_id, len(blob)))
+        return flushed
 
     def crash_at(self, cycle: int) -> None:
         """Schedule a crash at an absolute cycle (before running)."""

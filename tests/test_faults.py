@@ -26,8 +26,9 @@ from repro.common.units import CACHE_LINE_BYTES
 from repro.config import Design
 from repro.faults.analytics import RecoveryCost
 from repro.faults.models import (
-    FAULT_MODELS, AdrTruncation, ControllerLoss, FaultInjector, LogCorruption,
-    TornLogWrite, default_fault_models, fault_from_dict,
+    FAULT_MODELS, AdrTruncation, ControllerLoss, CorrelatedControllerLoss,
+    FaultInjector, LogCorruption, TornDataWrite, TornLogWrite,
+    default_fault_models, fault_from_dict,
 )
 from repro.faults.sweep import (
     FaultSpec, execute_fault_point, fault_grid, fault_sweep,
@@ -375,6 +376,41 @@ class TestFaultPoints:
         outcome = _run_point(Design.REDO, TornLogWrite(), 8_000)
         assert outcome.ok and not outcome.applied
         assert "inapplicable" in outcome.detail
+
+
+#: Models naming a controller the 2-controller test machine lacks, with
+#: the controller each one names.
+OUT_OF_RANGE = [
+    (ControllerLoss(controller=5), 5),
+    (AdrTruncation(controller=5), 5),
+    (TornLogWrite(controller=5), 5),
+    (TornDataWrite(controller=5), 5),
+    (CorrelatedControllerLoss(controllers=[1, 7]), 7),
+    (LogCorruption(controller=5), 5),
+]
+
+
+class TestControllerBounds:
+    """A model naming a controller the machine lacks is a config error,
+    on the shared-run path and the destructive one alike — not a point
+    that passes, passes vacuously, loses fewer controllers or dies with
+    a memory error."""
+
+    @pytest.mark.parametrize("model,controller", OUT_OF_RANGE,
+                             ids=[model.kind for model, _ in OUT_OF_RANGE])
+    def test_out_of_range_controller_is_rejected(self, model, controller):
+        message = (f"'{model.kind}' names controller {controller}, but "
+                   f"the machine has 2 memory controller")
+        with pytest.raises(ConfigError, match=message):
+            _run_point(Design.ATOM_OPT, model, 8_000)
+        with pytest.raises(ConfigError, match=message):
+            crash_run("hash", Design.ATOM_OPT, 8_000,
+                      injector=FaultInjector(model), verify=False)
+
+    def test_cut_of_an_untapped_machine_is_rejected(self):
+        system = build_system(design=Design.ATOM_OPT)
+        with pytest.raises(ConfigError, match="built with fault taps"):
+            system.power_cut(FaultInjector(ControllerLoss()))
 
 
 class TestRecoveryCostEverywhere:

@@ -1,13 +1,14 @@
 """Shared-run litmus executor vs. per-point litmus runs.
 
-A plain litmus point (no fault model, storm seed or ``instrument``
-hook) is checked on a power cut of its cell's live run
-(:func:`~repro.harness.campaign.cut_point`); any other point builds its
-own machine and crashes it with ``System.crash``.  A no-op
-``instrument`` hook sends a plain point down that per-point path, so
-these tests hold the live run to it: equal outcome payloads for every
-catalog test on every design, at unsorted, duplicate, finish and
-past-the-end cycles, and equal explorations inline and pooled.
+A litmus point without an ``instrument`` hook is checked on a power cut
+of its cell's live run (:func:`~repro.harness.campaign.cut_point`),
+with its fault model applied to the cut and its crash storm recovering
+it; a traced point builds its own machine and crashes it with
+``System.crash``.  A no-op ``instrument`` hook sends a point down that
+per-point path, so these tests hold the live run to it: equal outcome
+payloads for every catalog test on every design, plain and under fault
+models and storms, at unsorted, duplicate, finish and past-the-end
+cycles, and equal explorations inline and pooled.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import dataclasses
 
 import pytest
 
+from repro.faults.models import fault_from_dict
 from repro.harness import campaign as campaign_mod
 from repro.harness.campaign import Campaign
 from repro.litmus.catalog import CATALOG
@@ -46,7 +48,7 @@ def on_the_live_run(point: LitmusPoint) -> dict:
     outcome = execute_litmus_point(point)
     if not outcome.error:
         assert campaign_mod._live.key == dataclasses.replace(
-            point, crash_cycle=None)
+            point, crash_cycle=None, storm=None)
     return _outcome_to_dict(outcome)
 
 
@@ -76,6 +78,35 @@ def test_live_run_matches_per_point_runs(design):
                 test.name, cycle)
         assert reference[-1]["error"].startswith(
             "SimulationError: cannot schedule")
+
+
+#: The consistency-preserving models the litmus fault axis accepts.
+FAULTS = [{"kind": kind} for kind in (
+    "controller-loss", "torn-log-write", "correlated-loss",
+    "controller-loss+torn-log-write")]
+
+
+@pytest.mark.parametrize("design", LITMUS_DESIGNS, ids=lambda d: d.value)
+def test_fault_and_storm_points_match_per_point_runs(design):
+    applicable = [f for f in FAULTS
+                  if fault_from_dict(f).applicable(design)]
+    for test in CATALOG[::2]:
+        probe = LitmusPoint(test=test.to_dict(), design=design,
+                            crash_cycle=None)
+        finish = per_point(probe)["finish"]
+        # Points of one cell share its run whatever their storm seed;
+        # the fault cells get runs of their own.  Unsorted (a rebuild),
+        # a duplicate with and without a storm (second and third cuts
+        # without running), the finish cycle and past the end.
+        cycles = [(finish // 2, 3), (DEFAULT_CRASH_START, None),
+                  (DEFAULT_CRASH_START, 3), (finish - 1, None),
+                  (finish, 5), (PAST_THE_END, 3)]
+        for fault in [None] + applicable:
+            for cycle, storm in cycles:
+                point = dataclasses.replace(probe, crash_cycle=cycle,
+                                            fault=fault, storm=storm)
+                assert on_the_live_run(point) == per_point(point), (
+                    test.name, fault, cycle, storm)
 
 
 def test_pooled_exploration_matches_inline():
