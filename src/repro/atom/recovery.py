@@ -124,23 +124,24 @@ def _budget_persist(image: MemoryImage, budget: dict | None,
     image.persist(addr, data)
 
 
-def scrub_media(image: MemoryImage) -> tuple[int, list[int]]:
-    """Verify every touched durable line against the checksum plane.
+def scrub_media(image: MemoryImage,
+                layout: AddressLayout) -> tuple[list[int], list[int]]:
+    """The media scrub of ATOM and REDO recovery (step 0).
 
-    Returns ``(lines_scrubbed, mismatched_line_addrs)``.  Runs *before*
-    any undo/replay traffic so damage is observed pre-healing — an undo
+    Returns ``(lines_scrubbed, mismatched)``: per controller, how many
+    touched durable lines the scrub reads, and the sorted base addresses
+    of the lines that fail the checksum plane.  Runs *before* any
+    undo/replay traffic so damage is observed pre-healing — an undo
     write over a rotten line would refresh its checksum and turn a
-    detectable fault into a silent one.  No-op without the plane.
+    detectable fault into a silent one.  Only the image's
+    checksum-suspect lines are verified (:meth:`MemoryImage.scrub`), as
+    every other line verifies by construction, but the modelled read
+    traffic charges every touched line.  No-op without the plane.
     """
     if not image.line_checksums:
-        return 0, []
-    bad: list[int] = []
-    lines = 0
-    for base in image.touched_durable_lines():
-        lines += 1
-        if not image.verify_line(base):
-            bad.append(base)
-    return lines, bad
+        return [0] * layout.num_controllers, []
+    counts = layout.lines_per_controller(image.touched_durable_lines())
+    return counts, image.scrub()
 
 
 def recover(image: MemoryImage, layout: AddressLayout,
@@ -169,25 +170,20 @@ def recover(image: MemoryImage, layout: AddressLayout,
         mem = MemoryConfig()
     budget = None if write_budget is None else {"left": int(write_budget)}
     report = RecoveryReport()
-    # Media scrub first (step 0): with the checksum plane enabled, every
-    # touched durable line is verified before any undo write can heal —
-    # and thereby hide — damage.  Mismatches are grouped per controller
-    # so the read traffic lands on the right ControllerCost.
-    scrub_counts: dict[int, int] = {}
+    # Media scrub first (step 0), before any undo write can heal — and
+    # thereby hide — damage.  Mismatches are grouped per controller so
+    # the read traffic lands on the right ControllerCost.
+    scrub_counts, mismatched = scrub_media(image, layout)
     scrub_bad: dict[int, list[int]] = {}
-    if image.line_checksums:
-        for base in image.touched_durable_lines():
-            mc_id = layout.controller_of(base)
-            scrub_counts[mc_id] = scrub_counts.get(mc_id, 0) + 1
-            if not image.verify_line(base):
-                scrub_bad.setdefault(mc_id, []).append(base)
+    for base in mismatched:
+        scrub_bad.setdefault(layout.controller_of(base), []).append(base)
     for controller in range(layout.num_controllers):
         try:
             report.merge(
                 _recover_controller(
                     image, layout, cfg, controller, mem,
                     clear_adr=clear_adr, budget=budget,
-                    scrub_lines=scrub_counts.get(controller, 0),
+                    scrub_lines=scrub_counts[controller],
                     scrub_bad=scrub_bad.get(controller, []),
                 )
             )

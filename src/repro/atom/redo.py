@@ -475,9 +475,8 @@ class RedoManager:
         else:
             image, order, applied = cut.image, cut.commit_order, cut.applied
         report = RecoveryReport()
-        scrub_lines = 0
-        if image.line_checksums:
-            scrub_lines, report.corrupt_lines = scrub_media(image)
+        scrub_counts, report.corrupt_lines = scrub_media(image, self.layout)
+        scrub_lines = sum(scrub_counts)
         prefix = 0
         while prefix < len(order) and order[prefix] in applied:
             prefix += 1

@@ -124,9 +124,46 @@ class FaultOutcome:
 
 
 def _outcome_to_dict(outcome: FaultOutcome) -> dict:
-    payload = dataclasses.asdict(outcome)
-    payload["spec"]["design"] = outcome.spec.design.value
-    return payload
+    """Encode an outcome as a JSON-plain payload.
+
+    The payload serialises exactly as ``dataclasses.asdict`` (with
+    ``design`` as its value) would, key order included, so cache
+    entries do not move.  It is built field by field and shares the
+    outcome's JSON-plain containers (``fault``, ``workload_kw``,
+    ``recovery_cost``) instead of deep-copying them.
+    """
+    spec = outcome.spec
+    return {
+        "spec": {
+            "design": spec.design.value,
+            "workload": spec.workload,
+            "fault": spec.fault,
+            "crash_cycle": spec.crash_cycle,
+            "seed": spec.seed,
+            "entry_bytes": spec.entry_bytes,
+            "threads": spec.threads,
+            "txns_per_thread": spec.txns_per_thread,
+            "initial_items": spec.initial_items,
+            "num_cores": spec.num_cores,
+            "workload_kw": spec.workload_kw,
+            "checksums": spec.checksums,
+            "storm": spec.storm,
+        },
+        "ok": outcome.ok,
+        "applied": outcome.applied,
+        "detections": outcome.detections,
+        "commits": outcome.commits,
+        "rolled_back": outcome.rolled_back,
+        "recovery_cost": outcome.recovery_cost,
+        "idempotent": outcome.idempotent,
+        "silent": outcome.silent,
+        "contained": outcome.contained,
+        "storm_attempts": outcome.storm_attempts,
+        "storm_interrupted": outcome.storm_interrupted,
+        "storm_fixpoint": outcome.storm_fixpoint,
+        "detail": outcome.detail,
+        "error": outcome.error,
+    }
 
 
 def _outcome_from_dict(payload: dict) -> FaultOutcome:

@@ -30,7 +30,10 @@ buffer recycling — walk the touched set instead of the full array.
 This is what makes campaign-sized points (litmus grids, fault matrices,
 crash sweeps: thousands of machines or power cuts per run) cheap: the
 per-point fixed cost is proportional to the state actually used, not to
-the configured memory size.
+the configured memory size.  The whole-image digest is also memoized:
+every durable-plane mutation drops the memo, so re-hashing an image no
+write has reached since its last digest (a recovery pass that found
+nothing to do) costs nothing.
 
 Each plane is an anonymous private memory mapping rather than a
 ``bytearray``: the kernel supplies zero pages on first touch, so a plane
@@ -45,11 +48,17 @@ updated by every *legitimate* persist path (:meth:`persist`,
 (:meth:`persist_torn`, :meth:`damage`).  The plane models per-line ECC
 metadata a controller would maintain on its write path: a torn write or
 post-crash bit-rot leaves the stored checksum describing the old line,
-so :meth:`verify_line` fails exactly on damaged lines.  Recovery's
-scrub pass walks the touched durable lines through ``verify_line`` and
-classifies mismatches as *detected* corruption; without the plane the
-same damage is silent.  The plane is metadata, not memory contents:
-``durable_digest`` never hashes it.
+so :meth:`verify_line` fails exactly on damaged lines.  The plane is
+metadata, not memory contents: ``durable_digest`` never hashes it.
+
+Only a line a damage path wrote since its last write-path persist can
+fail verification, so the image also keeps that set of
+*checksum-suspect* lines: the damage paths add to it, ``persist`` and
+``sync_all`` drop from it.  Recovery's media scrub (:meth:`scrub`)
+verifies just the suspects and classifies mismatches as *detected*
+corruption; without the plane the same damage is silent.  Every other
+touched line verifies by construction, and the scrub's modelled read
+traffic still charges every touched line.
 """
 
 from __future__ import annotations
@@ -103,6 +112,13 @@ class MemoryImage:
         #: line base -> CRC-32 of the durable line as of its last
         #: *write-path* persist.  Damage paths bypass this on purpose.
         self._line_crc: dict[int, int] = {}
+        #: Touched durable lines a damage path wrote since their last
+        #: write-path persist: with the plane on, the only lines that
+        #: can fail :meth:`verify_line` (see module docstring).
+        self._suspect: set[int] = set()
+        #: Memoized whole-image :meth:`durable_digest`; every mutation
+        #: of the durable plane resets it to None.
+        self._digest: str | None = None
         pooled = _BUFFER_POOL.get(size_bytes)
         if pooled:
             self._volatile, self._durable = pooled.pop()
@@ -210,6 +226,7 @@ class MemoryImage:
         if addr < 0 or addr + size > self.size_bytes:
             self._check(addr, size)
         self._durable[addr : addr + size] = data
+        self._digest = None
         first = addr & _LINE_MASK
         last = (addr + size - 1) & _LINE_MASK
         if first == last:
@@ -218,16 +235,17 @@ class MemoryImage:
                 self._line_crc[first] = zlib.crc32(
                     self._dur_view[first : first + CACHE_LINE_BYTES]
                 )
+                self._suspect.discard(first)
         else:
-            self._dur_touched.update(
-                range(first, last + 1, CACHE_LINE_BYTES)
-            )
+            lines = range(first, last + 1, CACHE_LINE_BYTES)
+            self._dur_touched.update(lines)
             if self.line_checksums:
                 crc = zlib.crc32
                 dur = self._dur_view
                 crc_map = self._line_crc
-                for base in range(first, last + 1, CACHE_LINE_BYTES):
+                for base in lines:
                     crc_map[base] = crc(dur[base : base + CACHE_LINE_BYTES])
+                self._suspect.difference_update(lines)
 
     def persist_torn(self, addr: int, data: bytes, prefix_bytes: int) -> bool:
         """A write interrupted by power failure: only a prefix lands.
@@ -252,7 +270,8 @@ class MemoryImage:
         subsystem's media models (torn writes, bit-rot): the durable
         bytes and touched-set bookkeeping update exactly as a persist
         would, but the line-checksum plane is deliberately left stale —
-        that staleness is what recovery's scrub pass detects.  Returns
+        that staleness is what recovery's scrub pass detects, so the
+        written lines become checksum-suspect.  Returns
         True iff the durable contents actually changed (the injectors'
         vacuity marker: damage that reproduces the existing bytes is
         physically indistinguishable from no damage).
@@ -262,14 +281,15 @@ class MemoryImage:
             self._check(addr, size)
         changed = self._dur_view[addr : addr + size] != data
         self._durable[addr : addr + size] = data
+        self._digest = None
         first = addr & _LINE_MASK
         last = (addr + size - 1) & _LINE_MASK
-        if first == last:
-            self._dur_touched.add(first)
-        else:
-            self._dur_touched.update(
-                range(first, last + 1, CACHE_LINE_BYTES)
-            )
+        lines = range(first, last + 1, CACHE_LINE_BYTES)
+        self._dur_touched.update(lines)
+        if self.line_checksums:
+            # Even an unchanged line is suspect: one only a damage path
+            # ever wrote has no checksum to verify against.
+            self._suspect.update(lines)
         return changed
 
     def verify_line(self, addr: int) -> bool:
@@ -293,10 +313,23 @@ class MemoryImage:
     def touched_durable_lines(self) -> list[int]:
         """Sorted base addresses of every durable line ever written.
 
-        The scrub pass's work list: damage paths register their lines
-        here too, so a scrub over this set sees all durable state.
+        Damage paths register their lines here too, so this is all
+        durable state: the lines a media scrub reads (its modelled
+        traffic charges each one), of which :meth:`scrub` verifies only
+        the checksum-suspect ones.
         """
         return sorted(self._dur_touched)
+
+    def scrub(self) -> list[int]:
+        """Sorted base addresses of the touched lines failing verification.
+
+        Equal to ``[b for b in touched_durable_lines() if not
+        verify_line(b)]`` with the checksum plane on, but verifies only
+        the checksum-suspect lines: every other touched line was last
+        written by a write-path persist that recorded its checksum.
+        """
+        verify = self.verify_line
+        return [base for base in sorted(self._suspect) if not verify(base)]
 
     def persist_equals_volatile(self, addr: int, size: int) -> bool:
         """True if durable and volatile agree over the range (test aid)."""
@@ -330,26 +363,34 @@ class MemoryImage:
         their full durable contents are byte-identical (untouched lines
         are all-zero by the touched-set invariant, and touched-but-zero
         lines are excluded so re-zeroing a line cannot distinguish it
-        from one never written).
+        from one never written).  It is memoized until the next write
+        to the durable plane.
         """
-        digest = hashlib.sha256()
         if ranges is None:
-            dur = self._dur_view
-            update = digest.update
-            update(b"sparse-durable-v1")
-            update(_U64.pack(self.size_bytes))
-            pack = _U64.pack
-            for base in sorted(self._dur_touched):
-                chunk = dur[base : base + CACHE_LINE_BYTES]
-                if chunk != _ZERO_LINE:
-                    update(pack(base))
-                    update(chunk)
-        else:
-            for addr, size in ranges:
-                self._check(addr, size)
-                digest.update(_U64.pack(addr))
-                digest.update(_U64.pack(size))
-                digest.update(self._dur_view[addr : addr + size])
+            if self._digest is None:
+                self._digest = self._sparse_digest()
+            return self._digest
+        digest = hashlib.sha256()
+        for addr, size in ranges:
+            self._check(addr, size)
+            digest.update(_U64.pack(addr))
+            digest.update(_U64.pack(size))
+            digest.update(self._dur_view[addr : addr + size])
+        return digest.hexdigest()
+
+    def _sparse_digest(self) -> str:
+        """The whole-image digest, computed (see :meth:`durable_digest`)."""
+        digest = hashlib.sha256()
+        dur = self._dur_view
+        update = digest.update
+        update(b"sparse-durable-v1")
+        update(_U64.pack(self.size_bytes))
+        pack = _U64.pack
+        for base in sorted(self._dur_touched):
+            chunk = dur[base : base + CACHE_LINE_BYTES]
+            if chunk != _ZERO_LINE:
+                update(pack(base))
+                update(chunk)
         return digest.hexdigest()
 
     # -- whole-image operations --------------------------------------------
@@ -367,11 +408,13 @@ class MemoryImage:
         for base in self._vol_touched | self._dur_touched:
             dur[base : base + line] = vol[base : base + line]
         self._dur_touched |= self._vol_touched
+        self._digest = None
         if self.line_checksums:
             crc = zlib.crc32
             crc_map = self._line_crc
             for base in self._dur_touched:
                 crc_map[base] = crc(dur[base : base + line])
+            self._suspect.clear()
 
     def crash(self) -> None:
         """Power failure: all volatile state is lost.
@@ -391,9 +434,9 @@ class MemoryImage:
         What :meth:`crash` would make of this image, in buffers of its
         own, while this image lives on untouched — the image of a
         non-destructive power cut (``System.power_cut``).  The checksum
-        plane comes along.  The buffers are drawn from the pool and
-        only the touched durable lines are copied; the caller owns the
-        copy and may :meth:`recycle` it.
+        plane and its suspect lines come along.  The buffers are drawn
+        from the pool and only the touched durable lines are copied; the
+        caller owns the copy and may :meth:`recycle` it.
         """
         copy = MemoryImage(self.size_bytes, line_checksums=self.line_checksums)
         src = self._dur_view
@@ -406,6 +449,7 @@ class MemoryImage:
         copy._dur_touched = set(self._dur_touched)
         copy._vol_touched = set(self._dur_touched)
         copy._line_crc = dict(self._line_crc)
+        copy._suspect = set(self._suspect)
         return copy
 
     def recycle(self) -> None:
@@ -433,6 +477,8 @@ class MemoryImage:
         self._vol_touched = set()
         self._dur_touched = set()
         self._line_crc = {}
+        self._suspect = set()
+        self._digest = None
         pooled.append((self._volatile, self._durable))
 
     def __repr__(self) -> str:

@@ -24,6 +24,8 @@ on it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigError, MemoryError_
@@ -82,6 +84,36 @@ class AddressLayout:
         if self.is_log(addr):
             return (addr - self.log_base) // self.log_region_bytes
         raise MemoryError_(f"address {addr:#x} outside physical space")
+
+    def lines_per_controller(self, lines: Sequence[int]) -> list[int]:
+        """How many of the sorted addresses ``lines`` each controller owns.
+
+        Equal to counting ``controller_of`` over ``lines``, but by
+        address arithmetic over runs: a run of data lines within one
+        interleave page belongs to that page's controller, and each log
+        region is one contiguous run.  The cost grows with the touched
+        pages, not the touched lines.
+        """
+        if lines and lines[0] < 0:
+            raise MemoryError_(f"address {lines[0]:#x} outside physical space")
+        n = self.num_controllers
+        counts = [0] * n
+        step = self.interleave_bytes
+        end = bisect_left(lines, self.data_bytes)
+        i = 0
+        while i < end:
+            page = lines[i] // step
+            j = bisect_left(lines, (page + 1) * step, i, end)
+            counts[page % n] += j - i
+            i = j
+        for controller in range(n):
+            region_end = self.log_base + (controller + 1) * self.log_region_bytes
+            i, end = end, bisect_left(lines, region_end, end)
+            counts[controller] += end - i
+        if end < len(lines):
+            raise MemoryError_(
+                f"address {lines[end]:#x} outside physical space")
+        return counts
 
     # -- log space ------------------------------------------------------------
 

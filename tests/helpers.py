@@ -8,6 +8,10 @@ silently drift between the suites.
 
 from __future__ import annotations
 
+import hashlib
+import struct
+
+from repro.common.units import CACHE_LINE_BYTES
 from repro.harness.testbed import (  # noqa: F401 — re-exported
     build_system,
     crash_run,
@@ -18,6 +22,28 @@ from repro.harness.testbed import (  # noqa: F401 — re-exported
 __all__ = [
     "build_system",
     "crash_run",
+    "reference_digest",
     "run_workload_to_completion",
     "small_config",
 ]
+
+
+def reference_digest(image, lines=None) -> str:
+    """``image.durable_digest()`` recomputed from the durable plane.
+
+    Hashes the sparse encoding (image size, then every non-zero line
+    with its address, in address order) over ``lines``, or over every
+    line of the image when ``lines`` is None, so the reference depends
+    on neither the image's digest memo nor, by default, its touched-line
+    set.
+    """
+    if lines is None:
+        lines = range(0, image.size_bytes, CACHE_LINE_BYTES)
+    digest = hashlib.sha256(b"sparse-durable-v1")
+    digest.update(struct.pack("<Q", image.size_bytes))
+    for base in lines:
+        line = image.durable_read(base, CACHE_LINE_BYTES)
+        if any(line):
+            digest.update(struct.pack("<Q", base))
+            digest.update(line)
+    return digest.hexdigest()

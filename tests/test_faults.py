@@ -14,6 +14,7 @@ The headline assertions mirror the subsystem's contract:
   :class:`~repro.faults.analytics.RecoveryCost`.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -31,7 +32,8 @@ from repro.faults.models import (
     default_fault_models, fault_from_dict,
 )
 from repro.faults.sweep import (
-    FaultSpec, execute_fault_point, fault_grid, fault_sweep,
+    FaultOutcome, FaultSpec, _outcome_from_dict, _outcome_to_dict,
+    execute_fault_point, fault_grid, fault_sweep,
 )
 from repro.harness.cache import ResultCache
 from repro.harness.campaign import Campaign, CrashSpec, execute_crash_point
@@ -310,6 +312,50 @@ def _run_point(design, model, cycle, workload="hash"):
         design=design, workload=workload, fault=model.to_dict(),
         crash_cycle=cycle,
     ))
+
+
+class TestFaultOutcomeCodec:
+    """Drift guard for the field-by-field fault outcome codec.
+
+    The payload must serialise exactly as ``dataclasses.asdict`` did
+    (cache entries and artifacts stay byte-identical), so a field added
+    to ``FaultSpec`` or ``FaultOutcome`` without a codec update fails
+    here.
+    """
+
+    @pytest.mark.parametrize("fault,design,storm", [
+        ("correlated-loss+torn-data-write", Design.ATOM_OPT, 3),
+        ("torn-data-write", Design.REDO, None),
+        ("torn-log-write", Design.REDO, None),  # inapplicable
+    ])
+    def test_payload_matches_asdict_and_roundtrips(self, fault, design,
+                                                   storm):
+        out = execute_fault_point(FaultSpec(
+            design=design, workload="hash",
+            fault=fault_from_dict({"kind": fault}).to_dict(),
+            crash_cycle=8_000, workload_kw={"n_buckets": 32},
+            checksums=True, storm=storm,
+        ))
+        if design is Design.ATOM_OPT:
+            assert out.recovery_cost["per_controller"]
+        reference = dataclasses.asdict(out)
+        reference["spec"]["design"] = out.spec.design.value
+        payload = _outcome_to_dict(out)
+        assert json.dumps(payload) == json.dumps(reference)
+        assert _outcome_from_dict(payload) == out
+
+    def test_error_outcome_matches_asdict(self):
+        out = FaultOutcome(
+            spec=FaultSpec(design=Design.BASE, workload="rbtree",
+                           fault={"kind": "bit-rot", "rate": 0.5},
+                           crash_cycle=1, workload_kw={"deep": {"k": [1]}}),
+            ok=False, error="WorkloadError: boom", detail="d",
+        )
+        reference = dataclasses.asdict(out)
+        reference["spec"]["design"] = out.spec.design.value
+        payload = _outcome_to_dict(out)
+        assert json.dumps(payload) == json.dumps(reference)
+        assert _outcome_from_dict(payload) == out
 
 
 class TestFaultPoints:

@@ -5,10 +5,12 @@ import signal
 import time
 
 import pytest
+from helpers import reference_digest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import MemoryError_
+from repro.common.units import CACHE_LINE_BYTES
 from repro.mem import image as image_mod
 from repro.mem.image import MemoryImage
 
@@ -210,3 +212,110 @@ class TestDurableDigestExtract:
             image.durable_digest([(4090, 64)])
         with pytest.raises(MemoryError_):
             image.durable_extract([(-1, 8)])
+
+
+#: A size no other test uses, so the recycle steps own this pool slot.
+_SCRUB_SIZE = 64 * 37
+_LINE = CACHE_LINE_BYTES
+_addr = st.integers(min_value=0, max_value=_SCRUB_SIZE - 1)
+_checksum_ops = st.lists(st.one_of(
+    st.tuples(st.just("write"), _addr, st.binary(min_size=1, max_size=192)),
+    st.tuples(st.just("persist-line"), _addr,
+              st.binary(min_size=1, max_size=_LINE)),
+    st.tuples(st.just("persist-lines"), _addr,
+              st.binary(min_size=_LINE + 1, max_size=3 * _LINE)),
+    st.tuples(st.just("damage"), _addr, st.binary(min_size=1, max_size=96)),
+    st.tuples(st.just("damage-same"), _addr,
+              st.integers(min_value=1, max_value=96)),
+    st.tuples(st.just("torn"), _addr, st.binary(min_size=1, max_size=_LINE),
+              st.integers(min_value=0, max_value=_LINE)),
+    st.tuples(st.just("sync_all")),
+    st.tuples(st.just("durable_copy")),
+    st.tuples(st.just("recycle")),
+), max_size=40)
+
+
+class TestIncrementalScrubAndDigest:
+    """The suspect-line scrub and the memoized digest against full walks.
+
+    After every step of a random sequence of durable-plane mutations on
+    a checksummed image, :meth:`MemoryImage.scrub` must equal verifying
+    every touched line, and :meth:`MemoryImage.durable_digest` must
+    equal the digest recomputed from the whole durable plane.
+    """
+
+    @staticmethod
+    def _apply(image: MemoryImage, op) -> MemoryImage:
+        kind, *args = op
+        if kind == "sync_all":
+            image.sync_all()
+        elif kind == "durable_copy":
+            copy = image.durable_copy()
+            TestIncrementalScrubAndDigest._check(image)  # the source lives on
+            return copy
+        elif kind == "recycle":
+            image.recycle()
+            return MemoryImage(_SCRUB_SIZE, line_checksums=True)
+        else:
+            addr, payload = args[0], args[1]
+            room = _SCRUB_SIZE - addr
+            if kind == "write":
+                image.write(addr, payload[:room])
+            elif kind == "persist-line":
+                image.persist(addr, payload[:_LINE - addr % _LINE])
+            elif kind == "persist-lines":
+                image.persist(addr, payload[:room])
+            elif kind == "damage":
+                image.damage(addr, payload[:room])
+            elif kind == "damage-same":
+                same = image.durable_read(addr, min(payload, room))
+                assert not image.damage(addr, same)
+            else:
+                image.persist_torn(addr, payload[:room], args[2])
+        return image
+
+    @staticmethod
+    def _check(image: MemoryImage) -> None:
+        full_walk = [base for base in image.touched_durable_lines()
+                     if not image.verify_line(base)]
+        assert image.scrub() == full_walk
+        assert image.durable_digest() == reference_digest(image)
+
+    @given(_checksum_ops)
+    def test_every_step_matches_the_full_walk(self, ops):
+        image = MemoryImage(_SCRUB_SIZE, line_checksums=True)
+        try:
+            self._check(image)
+            for op in ops:
+                image = self._apply(image, op)
+                self._check(image)
+        finally:
+            image_mod._BUFFER_POOL.pop(_SCRUB_SIZE, None)
+
+    def test_damage_is_found_and_a_persist_clears_it(self):
+        image = MemoryImage(_SCRUB_SIZE, line_checksums=True)
+        image.persist(0, b"a" * 3 * _LINE)
+        image.damage(_LINE + 5, b"\xff")
+        # An untouched line a damage path wrote has no checksum at all,
+        # even when the damage wrote the zeros it already held.
+        image.damage(10 * _LINE, bytes(8))
+        assert image.scrub() == [_LINE, 10 * _LINE]
+        image.persist(_LINE, b"b")
+        assert image.scrub() == [10 * _LINE]
+        image.sync_all()
+        assert image.scrub() == []
+
+    def test_digest_memo_is_dropped_by_every_durable_write(self):
+        image = MemoryImage(_SCRUB_SIZE, line_checksums=True)
+        digests = [image.durable_digest()]
+        for mutate in (lambda: image.persist(0, b"x"),
+                       lambda: image.damage(64, b"y"),
+                       lambda: image.persist_torn(128, b"zz", 1),
+                       lambda: (image.write(192, b"w"), image.sync_all())):
+            mutate()
+            digests.append(image.durable_digest())
+            assert digests[-1] == reference_digest(image)
+        assert len(set(digests)) == len(digests)
+        image.write(256, b"volatile only")
+        image.crash()
+        assert image.durable_digest() == digests[-1]

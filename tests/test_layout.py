@@ -1,8 +1,13 @@
 """Physical address layout: interleaving, log regions, record math."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.errors import MemoryError_
+from repro.common.units import CACHE_LINE_BYTES
 from repro.config import LogConfig, MemoryConfig
 from repro.mem.layout import AddressLayout, RecordAddress
 
@@ -98,3 +103,61 @@ class TestRecordMath:
         last = RecordAddress(0, 0, cfg.records_per_bucket - 1)
         end = layout.record_header_addr(last) + 64
         assert end <= layout.bucket_base(0, 1)
+
+
+class TestLinesPerController:
+    """Per-controller line counts by run arithmetic equal ``controller_of``."""
+
+    @staticmethod
+    def _layout(controllers: int) -> AddressLayout:
+        return AddressLayout(64 * 1024, MemoryConfig(num_controllers=controllers),
+                             LogConfig())
+
+    @staticmethod
+    def _reference(layout: AddressLayout, lines) -> list[int]:
+        owners = Counter(layout.controller_of(line) for line in lines)
+        return [owners[c] for c in range(layout.num_controllers)]
+
+    @staticmethod
+    def _boundary_lines(layout: AddressLayout) -> list[int]:
+        """First and last line of every data page and log region."""
+        page = layout.interleave_bytes
+        edges = set()
+        for start in range(0, layout.data_bytes, page):
+            edges.update((start, start + page - CACHE_LINE_BYTES))
+        for c in range(layout.num_controllers):
+            base = layout.log_region_base(c)
+            edges.update((base, base + layout.log_region_bytes
+                          - CACHE_LINE_BYTES))
+        return sorted(edges)
+
+    @pytest.mark.parametrize("controllers", [1, 2, 4])
+    def test_boundaries_match_controller_of(self, controllers):
+        layout = self._layout(controllers)
+        lines = self._boundary_lines(layout)
+        assert (layout.lines_per_controller(lines)
+                == self._reference(layout, lines))
+        assert layout.lines_per_controller([]) == [0] * controllers
+
+    @pytest.mark.parametrize("controllers", [1, 2, 4])
+    @given(data=st.data())
+    def test_random_lines_match_controller_of(self, controllers, data):
+        layout = self._layout(controllers)
+        count = layout.total_bytes // CACHE_LINE_BYTES
+        data_lines = layout.data_bytes // CACHE_LINE_BYTES
+        # Half the draws fall in the (much smaller) data space.
+        indices = data.draw(st.sets(st.one_of(
+            st.integers(min_value=0, max_value=data_lines - 1),
+            st.integers(min_value=0, max_value=count - 1),
+        ), max_size=200))
+        lines = sorted(i * CACHE_LINE_BYTES for i in indices)
+        assert (layout.lines_per_controller(lines)
+                == self._reference(layout, lines))
+
+    @pytest.mark.parametrize("controllers", [1, 2, 4])
+    def test_out_of_range_rejected(self, controllers):
+        layout = self._layout(controllers)
+        with pytest.raises(MemoryError_):
+            layout.lines_per_controller([0, layout.total_bytes])
+        with pytest.raises(MemoryError_):
+            layout.lines_per_controller([-CACHE_LINE_BYTES, 0])

@@ -16,18 +16,23 @@ have removed.
 """
 
 import pytest
+from helpers import reference_digest
 
+from repro.atom import recovery, redo
 from repro.common.errors import ConfigError
 from repro.common.units import CACHE_LINE_BYTES
 from repro.config import Design
 from repro.faults.models import (
     BitRot, ControllerLoss, CorrelatedControllerLoss, LogCorruption,
-    MultiFault, TornDataWrite, TornLogWrite, fault_from_dict,
-    partition_applicable, resolve_inapplicable, torn_prefix_from_seed,
+    MultiFault, TornDataWrite, TornLogWrite, default_fault_models,
+    fault_from_dict, partition_applicable, resolve_inapplicable,
+    torn_prefix_from_seed,
 )
 from repro.faults.sweep import (
     FaultCell, FaultOutcome, FaultSpec, FaultSweepResult, execute_fault_point,
+    fault_grid,
 )
+from repro.harness import campaign as campaign_mod
 from repro.mem.image import MemoryImage
 
 LINE = CACHE_LINE_BYTES
@@ -274,3 +279,66 @@ class TestSilentAccounting:
         assert cell["status"] == "silent"
         assert cell["silent"] == 3
         assert "silent" in sweep.render()
+
+
+def _full_walk_scrub(image, layout):
+    """Reference media scrub: verify every touched line, count per line."""
+    counts = [0] * layout.num_controllers
+    bad = []
+    if image.line_checksums:
+        for base in image.touched_durable_lines():
+            counts[layout.controller_of(base)] += 1
+            if not image.verify_line(base):
+                bad.append(base)
+    return counts, bad
+
+
+_memoized_digest = MemoryImage.durable_digest
+
+
+def _fresh_digest(image, ranges=None):
+    """Reference whole-image digest: recomputed on every call."""
+    if ranges is None:
+        return reference_digest(image, image.touched_durable_lines())
+    return _memoized_digest(image, ranges)
+
+
+class TestIncrementalScrubDifferential:
+    """The suspect-line scrub and the memoized digest change no outcome.
+
+    Every default model on base, atom-opt and redo, with the checksum
+    plane and a crash storm, is run twice: as shipped, and with the
+    scrub replaced by a full walk over the touched lines (per-line
+    ``controller_of``, ``verify_line`` on every line) and the digest
+    recomputed on every call.  Storm passes interrupted over torn or
+    rotten lines, the fixpoint probe and the idempotence check all
+    compare what the shipped code skips recomputing.
+    """
+
+    @pytest.fixture(autouse=True)
+    def fresh_live_run(self):
+        campaign_mod._drop_live_run()
+        yield
+        campaign_mod._drop_live_run()
+
+    def test_outcomes_equal_the_full_walk_reference(self, monkeypatch):
+        specs = fault_grid(
+            designs=[Design.BASE, Design.ATOM_OPT, Design.REDO],
+            workloads=["hash"], models=default_fault_models(),
+            crash_cycles=range(2_000, 30_001, 7_000), checksums=True,
+            storm=7,
+        )
+        shipped = [execute_fault_point(spec) for spec in specs]
+        campaign_mod._drop_live_run()
+        with monkeypatch.context() as patch:
+            patch.setattr(recovery, "scrub_media", _full_walk_scrub)
+            patch.setattr(redo, "scrub_media", _full_walk_scrub)
+            patch.setattr(MemoryImage, "durable_digest", _fresh_digest)
+            reference = [execute_fault_point(spec) for spec in specs]
+        assert len({o.spec.fault["kind"] for o in shipped}) == 7
+        for fast, slow in zip(shipped, reference):
+            assert fast == slow, fast.spec
+        # Not vacuous: the scrub found damage and storms interrupted.
+        assert sum(o.recovery_cost.get("line_checksum_rejected", 0)
+                   for o in shipped) > 0
+        assert sum(o.storm_interrupted for o in shipped) > 0
