@@ -136,7 +136,9 @@ def scrub_media(image: MemoryImage,
     detectable fault into a silent one.  Only the image's
     checksum-suspect lines are verified (:meth:`MemoryImage.scrub`), as
     every other line verifies by construction, but the modelled read
-    traffic charges every touched line.  No-op without the plane.
+    traffic charges every touched line, counted per controller over the
+    image's memoized sorted view (so a storm's passes share one sort
+    until a pass adds a line).  No-op without the plane.
     """
     if not image.line_checksums:
         return [0] * layout.num_controllers, []

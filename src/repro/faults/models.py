@@ -82,6 +82,7 @@ the image each one leaves for recovery.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
@@ -271,6 +272,22 @@ class TornDataWrite(FaultModel):
 
 #: Valid ``regions`` values for :class:`BitRot`.
 BIT_ROT_REGIONS = ("all", "data", "log", "adr")
+
+#: (seed, line) draws :func:`_rot_draw` keeps per process: a run's
+#: bit-rot points draw for the same lines under one seed.
+_ROT_DRAWS_MAX = 1 << 16
+
+
+@functools.lru_cache(maxsize=_ROT_DRAWS_MAX)
+def _rot_draw(seed: int, base: int) -> tuple[int, int, int]:
+    """``(decay value, byte offset, bit mask)`` of a line, from SHA-256.
+
+    The line rots when the decay value is below the rate's threshold,
+    by flipping the masked bit of the byte at the offset.
+    """
+    digest = hashlib.sha256(f"bit-rot:{seed}:{base}".encode()).digest()
+    return (int.from_bytes(digest[:4], "big"),
+            digest[4] % CACHE_LINE_BYTES, 1 << (digest[5] % 8))
 
 
 @dataclass
@@ -830,13 +847,11 @@ class FaultInjector:
         for base in image.touched_durable_lines():
             if not self._rot_region_ok(layout, base, model.regions):
                 continue
-            digest = hashlib.sha256(
-                f"bit-rot:{model.seed}:{base}".encode()
-            ).digest()
-            if int.from_bytes(digest[:4], "big") >= threshold:
+            decay, offset, mask = _rot_draw(model.seed, base)
+            if decay >= threshold:
                 continue
             line = bytearray(image.durable_read(base, CACHE_LINE_BYTES))
-            line[digest[4] % CACHE_LINE_BYTES] ^= 1 << (digest[5] % 8)
+            line[offset] ^= mask
             image.damage(base, bytes(line))
             self.note_damage(image, base)
             flipped += 1

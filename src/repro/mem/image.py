@@ -25,15 +25,23 @@ Touched-line tracking
 Both planes record, at cache-line granularity, which lines have ever
 been written since construction.  A simulated machine touches a tiny
 fraction of its address space, so whole-image operations — the crash
-reset, ``sync_all``, the whole-image digest, :meth:`durable_copy` and
-buffer recycling — walk the touched set instead of the full array.
-This is what makes campaign-sized points (litmus grids, fault matrices,
-crash sweeps: thousands of machines or power cuts per run) cheap: the
-per-point fixed cost is proportional to the state actually used, not to
-the configured memory size.  The whole-image digest is also memoized:
-every durable-plane mutation drops the memo, so re-hashing an image no
-write has reached since its last digest (a recovery pass that found
-nothing to do) costs nothing.
+reset, the whole-image digest, :meth:`durable_copy` and buffer
+recycling — visit only touched lines.  This is what makes
+campaign-sized points (litmus grids, fault matrices, crash sweeps:
+thousands of machines or power cuts per run) cheap: the per-point fixed
+cost is proportional to the state actually used, not to the configured
+memory size.
+
+Every caller reads the touched durable lines in address order from one
+memoized sorted view (:meth:`touched_durable_lines`), so the power
+cuts, scrub passes, digests and bit-rot walks of one image version
+share a single sort.  The plane operations move one slice per *run* of
+adjacent touched lines (:func:`_spans`), never more slices than lines:
+touched lines sit in long runs (dozens per 4 KB page on the crash and
+fault jobs).  The whole-image digest is also memoized: every
+durable-plane mutation drops the memo, so re-hashing an image no write
+has reached since its last digest (a recovery pass that found nothing
+to do) costs nothing.
 
 Each plane is an anonymous private memory mapping rather than a
 ``bytearray``: the kernel supplies zero pages on first touch, so a plane
@@ -43,9 +51,9 @@ costs resident memory only for the pages a machine writes, where a
 Per-line checksum plane
 -----------------------
 With ``line_checksums=True`` the image keeps a CRC-32 per durable line,
-updated by every *legitimate* persist path (:meth:`persist`,
-:meth:`sync_all`) and deliberately **not** by the media-damage paths
-(:meth:`persist_torn`, :meth:`damage`).  The plane models per-line ECC
+updated by the *legitimate* persist path (:meth:`persist`) and
+deliberately **not** by the media-damage paths (:meth:`persist_torn`,
+:meth:`damage`).  The plane models per-line ECC
 metadata a controller would maintain on its write path: a torn write or
 post-crash bit-rot leaves the stored checksum describing the old line,
 so :meth:`verify_line` fails exactly on damaged lines.  The plane is
@@ -53,8 +61,8 @@ metadata, not memory contents: ``durable_digest`` never hashes it.
 
 Only a line a damage path wrote since its last write-path persist can
 fail verification, so the image also keeps that set of
-*checksum-suspect* lines: the damage paths add to it, ``persist`` and
-``sync_all`` drop from it.  Recovery's media scrub (:meth:`scrub`)
+*checksum-suspect* lines: the damage paths add to it and ``persist``
+drops from it.  Recovery's media scrub (:meth:`scrub`)
 verifies just the suspects and classifies mismatches as *detected*
 corruption; without the plane the same damage is silent.  Every other
 touched line verifies by construction, and the scrub's modelled read
@@ -74,6 +82,10 @@ from repro.common.units import CACHE_LINE_BYTES
 _U64 = struct.Struct("<Q")
 _LINE_MASK = ~(CACHE_LINE_BYTES - 1)
 _ZERO_LINE = bytes(CACHE_LINE_BYTES)
+#: What :meth:`MemoryImage.recycle` zeroes a run with.  Shared and never
+#: written, so its pages stay unbacked: a fresh zero buffer per run
+#: would leave its size resident in the heap.
+_ZEROS = memoryview(bytes(1 << 20))
 
 #: Recycled (volatile, durable) buffer pairs, keyed by size.  A campaign
 #: worker builds thousands of same-shaped machines and power cuts back
@@ -95,6 +107,23 @@ def _plane(size: int) -> mmap.mmap:
     parent's pooled (supposedly zero) buffers.
     """
     return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+
+
+def _spans(lines) -> list[tuple[int, int]]:
+    """``(start, end)`` byte ranges of the runs of adjacent ``lines``
+    (ascending line bases): the one per-line loop of the plane operations.
+    """
+    spans = []
+    start = end = None
+    for base in lines:
+        if base != end:
+            if end is not None:
+                spans.append((start, end))
+            start = base
+        end = base + CACHE_LINE_BYTES
+    if end is not None:
+        spans.append((start, end))
+    return spans
 
 
 class MemoryImage:
@@ -136,6 +165,10 @@ class MemoryImage:
         #: all-zero in its plane.
         self._vol_touched: set[int] = set()
         self._dur_touched: set[int] = set()
+        #: Memoized sorted ``_dur_touched`` and the set object it sorts
+        #: (see :meth:`touched_durable_lines`).
+        self._view: tuple[int, ...] = ()
+        self._view_of: set[int] | None = None
 
     # -- bounds -----------------------------------------------------------
 
@@ -310,15 +343,27 @@ class MemoryImage:
             self._dur_view[base : base + CACHE_LINE_BYTES]
         )
 
-    def touched_durable_lines(self) -> list[int]:
+    def touched_durable_lines(self) -> tuple[int, ...]:
         """Sorted base addresses of every durable line ever written.
 
         Damage paths register their lines here too, so this is all
         durable state: the lines a media scrub reads (its modelled
         traffic charges each one), of which :meth:`scrub` verifies only
-        the checksum-suspect ones.
+        the checksum-suspect ones.  Memoized: the set only grows until
+        :meth:`recycle` replaces it, so the view holds while the set is
+        the same object with the same length.
         """
-        return sorted(self._dur_touched)
+        touched = self._dur_touched
+        if self._view_of is not touched or len(self._view) != len(touched):
+            self._view = tuple(sorted(touched))
+            self._view_of = touched
+        return self._view
+
+    def _touched_union(self):
+        """Sorted lines either plane has touched."""
+        if self._vol_touched <= self._dur_touched:
+            return self.touched_durable_lines()
+        return sorted(self._vol_touched | self._dur_touched)
 
     def scrub(self) -> list[int]:
         """Sorted base addresses of the touched lines failing verification.
@@ -386,7 +431,7 @@ class MemoryImage:
         update(b"sparse-durable-v1")
         update(_U64.pack(self.size_bytes))
         pack = _U64.pack
-        for base in sorted(self._dur_touched):
+        for base in self.touched_durable_lines():
             chunk = dur[base : base + CACHE_LINE_BYTES]
             if chunk != _ZERO_LINE:
                 update(pack(base))
@@ -395,37 +440,16 @@ class MemoryImage:
 
     # -- whole-image operations --------------------------------------------
 
-    def sync_all(self) -> None:
-        """Make the durable image identical to the volatile image.
-
-        Used by the DirectDriver when pre-populating workload structures:
-        setup writes are deemed flushed before the timed/crashed phase.
-        Only lines either plane has touched can differ, so the copy
-        walks the touched union.
-        """
-        vol, dur = self._vol_view, self._dur_view
-        line = CACHE_LINE_BYTES
-        for base in self._vol_touched | self._dur_touched:
-            dur[base : base + line] = vol[base : base + line]
-        self._dur_touched |= self._vol_touched
-        self._digest = None
-        if self.line_checksums:
-            crc = zlib.crc32
-            crc_map = self._line_crc
-            for base in self._dur_touched:
-                crc_map[base] = crc(dur[base : base + line])
-            self._suspect.clear()
-
     def crash(self) -> None:
         """Power failure: all volatile state is lost.
 
         The volatile image is reset to the durable image (after recovery,
-        the machine reboots seeing only NVM contents).
+        the machine reboots seeing only NVM contents), one slice per run
+        of lines either plane has touched.
         """
         vol, dur = self._vol_view, self._dur_view
-        line = CACHE_LINE_BYTES
-        for base in self._vol_touched | self._dur_touched:
-            vol[base : base + line] = dur[base : base + line]
+        for start, end in _spans(self._touched_union()):
+            vol[start:end] = dur[start:end]
         self._vol_touched |= self._dur_touched
 
     def durable_copy(self) -> "MemoryImage":
@@ -435,19 +459,22 @@ class MemoryImage:
         own, while this image lives on untouched — the image of a
         non-destructive power cut (``System.power_cut``).  The checksum
         plane and its suspect lines come along.  The buffers are drawn
-        from the pool and only the touched durable lines are copied; the
-        caller owns the copy and may :meth:`recycle` it.
+        from the pool and the runs of touched durable lines are copied
+        from this image's sorted view, which the copy inherits; cuts of
+        one unchanged image share one sort.  The caller owns the copy
+        and may :meth:`recycle` it.
         """
         copy = MemoryImage(self.size_bytes, line_checksums=self.line_checksums)
+        view = self.touched_durable_lines()
         src = self._dur_view
         vol, dur = copy._vol_view, copy._dur_view
-        line = CACHE_LINE_BYTES
-        for base in self._dur_touched:
-            chunk = src[base : base + line]
-            vol[base : base + line] = chunk
-            dur[base : base + line] = chunk
+        for start, end in _spans(view):
+            chunk = src[start:end]
+            vol[start:end] = chunk
+            dur[start:end] = chunk
         copy._dur_touched = set(self._dur_touched)
         copy._vol_touched = set(self._dur_touched)
+        copy._view, copy._view_of = view, copy._dur_touched
         copy._line_crc = dict(self._line_crc)
         copy._suspect = set(self._suspect)
         return copy
@@ -460,22 +487,25 @@ class MemoryImage:
         must not touch either plane afterwards — the buffers will back a
         *different* machine's memory.  Point executors (litmus, crash,
         fault workers) call this once they have extracted their values
-        from a machine or power cut that was private to them.
+        from a machine or power cut that was private to them.  Both
+        planes are zeroed one slice per run of lines either touched.
         """
         pooled = _BUFFER_POOL.setdefault(self.size_bytes, [])
         if len(pooled) >= _POOL_DEPTH:
             return
-        touched = self._vol_touched | self._dur_touched
-        # A heavily-written image is cheaper to reallocate than to scrub.
-        if len(touched) * CACHE_LINE_BYTES * 4 > self.size_bytes:
+        lines = self._touched_union()
+        # A heavily-written image is cheaper to reallocate than to zero.
+        if len(lines) * CACHE_LINE_BYTES * 4 > self.size_bytes:
             return
         vol, dur = self._vol_view, self._dur_view
-        line = CACHE_LINE_BYTES
-        for base in touched:
-            vol[base : base + line] = _ZERO_LINE
-            dur[base : base + line] = _ZERO_LINE
+        for start, end in _spans(lines):
+            size = end - start
+            zeros = _ZEROS[:size] if size <= len(_ZEROS) else bytes(size)
+            vol[start:end] = zeros
+            dur[start:end] = zeros
         self._vol_touched = set()
         self._dur_touched = set()
+        self._view, self._view_of = (), None
         self._line_crc = {}
         self._suspect = set()
         self._digest = None

@@ -79,12 +79,6 @@ class TestCrashSemantics:
         assert image.read(0, 9) == bytes(9)
         assert image.read(64, 8) == b"durable!"
 
-    def test_sync_all_flushes_everything(self):
-        image = MemoryImage(4096)
-        image.write(0, b"setup")
-        image.sync_all()
-        assert image.durable_read(0, 5) == b"setup"
-
     def test_persist_equals_volatile(self):
         image = MemoryImage(4096)
         image.write(0, b"ab")
@@ -214,83 +208,141 @@ class TestDurableDigestExtract:
             image.durable_extract([(-1, 8)])
 
 
-#: A size no other test uses, so the recycle steps own this pool slot.
-_SCRUB_SIZE = 64 * 37
 _LINE = CACHE_LINE_BYTES
-_addr = st.integers(min_value=0, max_value=_SCRUB_SIZE - 1)
-_checksum_ops = st.lists(st.one_of(
-    st.tuples(st.just("write"), _addr, st.binary(min_size=1, max_size=192)),
-    st.tuples(st.just("persist-line"), _addr,
-              st.binary(min_size=1, max_size=_LINE)),
-    st.tuples(st.just("persist-lines"), _addr,
-              st.binary(min_size=_LINE + 1, max_size=3 * _LINE)),
-    st.tuples(st.just("damage"), _addr, st.binary(min_size=1, max_size=96)),
-    st.tuples(st.just("damage-same"), _addr,
-              st.integers(min_value=1, max_value=96)),
-    st.tuples(st.just("torn"), _addr, st.binary(min_size=1, max_size=_LINE),
-              st.integers(min_value=0, max_value=_LINE)),
-    st.tuples(st.just("sync_all")),
-    st.tuples(st.just("durable_copy")),
-    st.tuples(st.just("recycle")),
-), max_size=40)
+_PAGE = 4096
+#: Sizes no other test uses, so the recycle steps own these pool slots.
+#: Both end in a partial page; the larger has two page boundaries.
+_SCRUB_SIZES = (_LINE * 37, 2 * _PAGE + 20 * _LINE)
+_SCRUB_SIZE = _SCRUB_SIZES[0]
+
+
+@st.composite
+def _checksum_ops(draw):
+    """An image size and a random sequence of plane operations on it.
+
+    Addresses cluster around page boundaries half the time, so runs of
+    adjacent touched lines often cross them.
+    """
+    size = draw(st.sampled_from(_SCRUB_SIZES))
+    anywhere = st.integers(min_value=0, max_value=size - 1)
+    near_page = st.builds(
+        lambda page, offset: min(max(page * _PAGE + offset, 0), size - 1),
+        st.integers(min_value=1, max_value=size // _PAGE + 1),
+        st.integers(min_value=-3 * _LINE, max_value=2 * _LINE),
+    )
+    addr = st.one_of(anywhere, near_page)
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("write"), addr, st.binary(min_size=1, max_size=192)),
+        st.tuples(st.just("persist-line"), addr,
+                  st.binary(min_size=1, max_size=_LINE)),
+        st.tuples(st.just("persist-lines"), addr,
+                  st.binary(min_size=_LINE + 1, max_size=12 * _LINE)),
+        st.tuples(st.just("damage"), addr, st.binary(min_size=1, max_size=96)),
+        st.tuples(st.just("damage-same"), addr,
+                  st.integers(min_value=1, max_value=96)),
+        st.tuples(st.just("torn"), addr,
+                  st.binary(min_size=1, max_size=_LINE),
+                  st.integers(min_value=0, max_value=_LINE)),
+        st.tuples(st.just("crash")),
+        st.tuples(st.just("durable_copy")),
+        st.tuples(st.just("recycle")),
+    ), max_size=40))
+    return size, ops
+
+
+class _Shadow:
+    """An image under test with a ``bytearray`` copy of each plane."""
+
+    def __init__(self, image: MemoryImage):
+        self.image = image
+        self.volatile = bytearray(image.size_bytes)
+        self.durable = bytearray(image.size_bytes)
 
 
 class TestIncrementalScrubAndDigest:
-    """The suspect-line scrub and the memoized digest against full walks.
+    """Plane operations, the scrub and the memoized digest and view.
 
-    After every step of a random sequence of durable-plane mutations on
-    a checksummed image, :meth:`MemoryImage.scrub` must equal verifying
+    After every step of a random sequence of plane operations on a
+    checksummed image, both planes must equal a ``bytearray`` shadow
+    over the whole image, an image drawn from the pool after
+    :meth:`MemoryImage.recycle` must be all-zero, the memoized
+    :meth:`MemoryImage.touched_durable_lines` must equal a fresh sort of
+    the touched set, :meth:`MemoryImage.scrub` must equal verifying
     every touched line, and :meth:`MemoryImage.durable_digest` must
     equal the digest recomputed from the whole durable plane.
     """
 
     @staticmethod
-    def _apply(image: MemoryImage, op) -> MemoryImage:
+    def _apply(shadow: _Shadow, op) -> _Shadow:
+        image = shadow.image
+        size = image.size_bytes
         kind, *args = op
-        if kind == "sync_all":
-            image.sync_all()
+        if kind == "crash":
+            image.crash()
+            shadow.volatile[:] = shadow.durable
         elif kind == "durable_copy":
-            copy = image.durable_copy()
-            TestIncrementalScrubAndDigest._check(image)  # the source lives on
+            copy = _Shadow(image.durable_copy())
+            TestIncrementalScrubAndDigest._check(shadow)  # the source lives on
+            copy.volatile[:] = copy.durable[:] = shadow.durable
             return copy
         elif kind == "recycle":
+            durable = image._durable
             image.recycle()
-            return MemoryImage(_SCRUB_SIZE, line_checksums=True)
+            pool = image_mod._BUFFER_POOL.get(size)
+            pooled = bool(pool) and pool[-1][1] is durable
+            fresh = MemoryImage(size, line_checksums=True)
+            # A heavily written image is dropped, not pooled.
+            assert (fresh._durable is durable) == pooled
+            return _Shadow(fresh)
         else:
             addr, payload = args[0], args[1]
-            room = _SCRUB_SIZE - addr
+            room = size - addr
             if kind == "write":
-                image.write(addr, payload[:room])
-            elif kind == "persist-line":
-                image.persist(addr, payload[:_LINE - addr % _LINE])
+                data = payload[:room]
+                image.write(addr, data)
+                shadow.volatile[addr:addr + len(data)] = data
+                return shadow
+            if kind == "persist-line":
+                data = payload[:_LINE - addr % _LINE]
+                image.persist(addr, data)
             elif kind == "persist-lines":
-                image.persist(addr, payload[:room])
+                data = payload[:room]
+                image.persist(addr, data)
             elif kind == "damage":
-                image.damage(addr, payload[:room])
+                data = payload[:room]
+                image.damage(addr, data)
             elif kind == "damage-same":
-                same = image.durable_read(addr, min(payload, room))
-                assert not image.damage(addr, same)
+                data = image.durable_read(addr, min(payload, room))
+                assert not image.damage(addr, data)
             else:
+                data = payload[:room][:args[2]]
                 image.persist_torn(addr, payload[:room], args[2])
-        return image
+            shadow.durable[addr:addr + len(data)] = data
+        return shadow
 
     @staticmethod
-    def _check(image: MemoryImage) -> None:
+    def _check(shadow: _Shadow) -> None:
+        image = shadow.image
+        size = image.size_bytes
+        assert image.read(0, size) == shadow.volatile
+        assert image.durable_read(0, size) == shadow.durable
+        assert image.touched_durable_lines() == tuple(sorted(image._dur_touched))
         full_walk = [base for base in image.touched_durable_lines()
                      if not image.verify_line(base)]
         assert image.scrub() == full_walk
         assert image.durable_digest() == reference_digest(image)
 
-    @given(_checksum_ops)
-    def test_every_step_matches_the_full_walk(self, ops):
-        image = MemoryImage(_SCRUB_SIZE, line_checksums=True)
+    @given(_checksum_ops())
+    def test_every_step_matches_the_full_walk(self, scenario):
+        size, ops = scenario
+        shadow = _Shadow(MemoryImage(size, line_checksums=True))
         try:
-            self._check(image)
+            self._check(shadow)
             for op in ops:
-                image = self._apply(image, op)
-                self._check(image)
+                shadow = self._apply(shadow, op)
+                self._check(shadow)
         finally:
-            image_mod._BUFFER_POOL.pop(_SCRUB_SIZE, None)
+            image_mod._BUFFER_POOL.pop(size, None)
 
     def test_damage_is_found_and_a_persist_clears_it(self):
         image = MemoryImage(_SCRUB_SIZE, line_checksums=True)
@@ -302,8 +354,23 @@ class TestIncrementalScrubAndDigest:
         assert image.scrub() == [_LINE, 10 * _LINE]
         image.persist(_LINE, b"b")
         assert image.scrub() == [10 * _LINE]
-        image.sync_all()
+        image.persist(10 * _LINE, bytes(8))
         assert image.scrub() == []
+
+    def test_view_follows_damage_to_an_untouched_line(self):
+        image = MemoryImage(_SCRUB_SIZE, line_checksums=True)
+        image.persist(0, b"a" * 2 * _LINE)
+        view = image.touched_durable_lines()
+        assert image.touched_durable_lines() is view  # memoized
+        image.persist(_LINE, b"b")  # the set does not grow
+        assert image.touched_durable_lines() is view
+        image.damage(20 * _LINE, b"\x01")
+        assert image.touched_durable_lines() == (0, _LINE, 20 * _LINE)
+        copy = image.durable_copy()
+        assert copy.durable_read(20 * _LINE, 1) == b"\x01"
+        copy.damage(30 * _LINE, b"\x02")
+        assert copy.touched_durable_lines()[-1] == 30 * _LINE
+        assert image.touched_durable_lines() == (0, _LINE, 20 * _LINE)
 
     def test_digest_memo_is_dropped_by_every_durable_write(self):
         image = MemoryImage(_SCRUB_SIZE, line_checksums=True)
@@ -311,7 +378,8 @@ class TestIncrementalScrubAndDigest:
         for mutate in (lambda: image.persist(0, b"x"),
                        lambda: image.damage(64, b"y"),
                        lambda: image.persist_torn(128, b"zz", 1),
-                       lambda: (image.write(192, b"w"), image.sync_all())):
+                       lambda: (image.write(192, b"w"),
+                                image.persist(192, b"w"))):
             mutate()
             digests.append(image.durable_digest())
             assert digests[-1] == reference_digest(image)
