@@ -2,8 +2,15 @@
 
 One L2 bank lives on every tile; a line's home bank is determined by line
 interleaving (``Topology.l2_home_tile``).  The directory tracks, per
-resident line, the exclusive owner (an L1 holding M/E) or the sharer set,
-plus a dirty flag for data surrendered by downgraded/written-back owners.
+resident line, the exclusive owner (an L1 holding M/E) or the sharers (a
+bitmask of core ids), plus a dirty flag for data surrendered by
+downgraded/written-back owners.
+
+The tag store holds only what is resident.  One line -> entry map serves
+every lookup; a (bank, set) way map, which capacity and LRU eviction
+need, is created by the first insert into that set, so a machine pays
+for the sets its working set touches, not for all banks x sets.  An
+entry allocates its waiter queue only when a request first queues on it.
 
 Protocol modelling choice: each transaction is *serialized per line*
 with a busy/waiter queue, and directory metadata is updated
@@ -20,16 +27,15 @@ module, which is where ATOM's ordering enforcement lives.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
 
 from repro.coherence.l1 import (FILL_EXCLUSIVE, FILL_MODIFIED,
                                 FILL_MODIFIED_SOURCE_LOGGED, FILL_SHARED,
                                 FillInfo, L1Cache)
 from repro.coherence.states import MESI
 from repro.common.stats import Stats
-from repro.common.units import (CACHE_LINE_BYTES, CACHE_LINE_SHIFT,
-                                line_index)
+from repro.common.units import CACHE_LINE_BYTES, CACHE_LINE_SHIFT
 from repro.config import CacheConfig
 from repro.engine import Engine
 from repro.mem.controller import MemoryController
@@ -99,7 +105,9 @@ class _MissFetch:
         line = self.line
         new = l2._insert(line)
         new.owner = self.core
-        new.waiters.extend(l2._pending_fetch.pop(line, []))
+        queued = l2._pending_fetch.pop(line, None)
+        if queued:
+            new.waiters = deque(queued)
         if self.exclusive:
             info = (FILL_MODIFIED_SOURCE_LOGGED if source_logged
                     else FILL_MODIFIED)
@@ -110,17 +118,34 @@ class _MissFetch:
         )
 
 
+def _cores(mask: int) -> Iterator[int]:
+    """The core ids set in a sharer bitmask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(slots=True)
 class L2Line:
     """Directory + tag entry for one L2-resident line."""
 
     line: int
     owner: int | None = None
-    sharers: set[int] = field(default_factory=set)
+    #: Cores holding the line in S: bit ``c`` is set for core ``c``.
+    sharers: int = 0
     dirty: bool = False
     last_use: int = 0
     busy: bool = False
-    waiters: deque = field(default_factory=deque)
+    #: Requests queued behind the transaction in flight, in arrival
+    #: order; None until the first one queues.
+    waiters: deque | None = None
+
+    def wait(self, fn: Callable[[], None]) -> None:
+        """Queue ``fn`` until the transaction in flight releases the line."""
+        if self.waiters is None:
+            self.waiters = deque()
+        self.waiters.append(fn)
 
 
 class SharedL2:
@@ -152,11 +177,18 @@ class SharedL2:
         self._add_owner_invals = self.stats.counter("owner_invalidations")
         self._add_sharer_invals = self.stats.counter("sharer_invalidations")
         self._add_l1_writebacks = self.stats.counter("l1_writebacks")
+        self._add_evictions = self.stats.counter("evictions")
+        self._add_inclusive_recalls = self.stats.counter("inclusive_recalls")
+        self._add_parked_evictions = self.stats.counter("parked_evictions")
+        self._add_memory_writebacks = self.stats.counter("memory_writebacks")
+        self._add_flushes = self.stats.counter("flushes")
         self.num_banks = topology.num_tiles
-        self._num_sets = tile_cfg.num_sets
-        self._bank_sets: list[list[dict[int, L2Line]]] = [
-            [dict() for _ in range(self._num_sets)] for _ in range(self.num_banks)
-        ]
+        #: Every resident line -> its entry.
+        self._lines: dict[int, L2Line] = {}
+        #: Resident entries by (bank, set), keyed by line index mod
+        #: (banks x sets); a set's map is created by its first insert.
+        self._sets: dict[int, dict[int, L2Line]] = {}
+        self._set_count = self.num_banks * tile_cfg.num_sets
         self._use_clock = 0
         self._l1s: list[L1Cache] = []
         #: Misses currently being fetched from memory: line -> queued
@@ -191,20 +223,9 @@ class SharedL2:
 
     # -- tag store ------------------------------------------------------------
 
-    def _locate(self, line: int) -> tuple[int, dict[int, L2Line]]:
-        index = line_index(line)
-        bank = index % self.num_banks
-        set_idx = (index // self.num_banks) % self._num_sets
-        return bank, self._bank_sets[bank][set_idx]
-
     def probe(self, line: int) -> L2Line | None:
         """Directory lookup without LRU side effects."""
-        # Inlined _locate/line_index: this runs on every protocol step.
-        index = line >> CACHE_LINE_SHIFT
-        bank = index % self.num_banks
-        return self._bank_sets[bank][
-            (index // self.num_banks) % self._num_sets
-        ].get(line)
+        return self._lines.get(line)
 
     def _touch(self, entry: L2Line) -> None:
         self._use_clock += 1
@@ -220,14 +241,11 @@ class SharedL2:
         """Run ``fn`` when the line has no transaction in flight."""
         entry = self.probe(line)
         if entry is not None and entry.busy:
-            entry.waiters.append(fn)
+            entry.wait(fn)
             return
         if entry is not None:
             entry.busy = True
         fn()
-
-    def _acquire_after_insert(self, entry: L2Line) -> None:
-        entry.busy = True
 
     def _release(self, line: int) -> None:
         entry = self.probe(line)
@@ -250,9 +268,7 @@ class SharedL2:
         entry = self.probe(line)
         if entry is not None:
             if entry.busy:
-                entry.waiters.append(
-                    lambda: self._do_get_shared(core, line, on_fill)
-                )
+                entry.wait(lambda: self._do_get_shared(core, line, on_fill))
                 return
             entry.busy = True
         self._do_get_shared(core, line, on_fill)
@@ -275,13 +291,13 @@ class SharedL2:
                 dirty = self._l1s[entry.owner].remote_downgrade(line)
                 if dirty:
                     entry.dirty = True
-                entry.sharers.add(entry.owner)
+                entry.sharers |= 1 << entry.owner
                 entry.owner = None
                 self._add_owner_forwards()
                 data_lat = self._data_lat[owner_tile][req_tile]
             else:
                 data_lat = self._data_lat[home][req_tile]
-            entry.sharers.add(core)
+            entry.sharers |= 1 << core
             total = req_lat + self._l2_lat + extra + data_lat
             self.engine.post(total, _FillDone(self, line, on_fill,
                                               FILL_SHARED))
@@ -318,7 +334,7 @@ class SharedL2:
         entry = self.probe(line)
         if entry is not None:
             if entry.busy:
-                entry.waiters.append(
+                entry.wait(
                     lambda: self._do_get_exclusive(core, line, atomic, on_fill)
                 )
                 return
@@ -335,6 +351,7 @@ class SharedL2:
             self._use_clock += 1
             entry.last_use = self._use_clock
             extra = 0
+            others = entry.sharers & ~(1 << core)
             if entry.owner is not None and entry.owner != core:
                 owner_tile = entry.owner
                 extra = self._ctrl_lat[home][owner_tile]
@@ -342,12 +359,12 @@ class SharedL2:
                 if dirty:
                     entry.dirty = True
                 self._add_owner_invals()
-            elif entry.sharers - {core}:
+            elif others:
                 # Invalidate every other sharer; latency is the worst
                 # round trip (invalidations fan out in parallel).
                 worst = 0
                 ctrl_from_home = self._ctrl_lat[home]
-                for sharer in sorted(entry.sharers - {core}):
+                for sharer in _cores(others):
                     trip = ctrl_from_home[sharer] + self._ctrl_lat[sharer][home]
                     if trip > worst:
                         worst = trip
@@ -355,7 +372,7 @@ class SharedL2:
                     self._add_sharer_invals()
                 extra = worst
             entry.owner = core
-            entry.sharers = set()
+            entry.sharers = 0
             data_lat = self._data_lat[home][req_tile]
             total = req_lat + self._l2_lat + extra + data_lat
             self.engine.post(total, _FillDone(self, line, on_fill,
@@ -390,7 +407,7 @@ class SharedL2:
             entry.dirty = True
             if entry.owner == core:
                 entry.owner = None
-            entry.sharers.discard(core)
+            entry.sharers &= ~(1 << core)
         self._add_l1_writebacks()
         home = (line >> CACHE_LINE_SHIFT) % self.num_banks
         # Timing-only message; metadata was updated synchronously.
@@ -402,30 +419,35 @@ class SharedL2:
         if entry is not None:
             if entry.owner == core:
                 entry.owner = None
-            entry.sharers.discard(core)
+            entry.sharers &= ~(1 << core)
 
     def _insert(self, line: int) -> L2Line:
-        bank, target = self._locate(line)
-        if len(target) >= self.cfg.ways:
+        """Install ``line`` busy, evicting its set's LRU idle way when the
+        set is full (a set whose ways are all busy grows past them)."""
+        key = (line >> CACHE_LINE_SHIFT) % self._set_count
+        target = self._sets.get(key)
+        if target is None:
+            target = self._sets[key] = {}
+        elif len(target) >= self.cfg.ways:
             victims = [e for e in target.values() if not e.busy]
             if victims:
-                self._evict(min(victims, key=lambda e: e.last_use))
-        entry = L2Line(line=line)
-        self._acquire_after_insert(entry)
+                self._evict(min(victims, key=lambda e: e.last_use), target)
+        entry = L2Line(line=line, busy=True)
         target[line] = entry
+        self._lines[line] = entry
         self._touch(entry)
         return entry
 
-    def _evict(self, victim: L2Line) -> None:
+    def _evict(self, victim: L2Line, target: dict[int, L2Line]) -> None:
         """Inclusive eviction: recall L1 copies, write dirty data to NVM."""
-        _, target = self._locate(victim.line)
         del target[victim.line]
-        self.stats.add("evictions")
+        del self._lines[victim.line]
+        self._add_evictions()
         dirty = victim.dirty
         if victim.owner is not None:
             dirty |= self._l1s[victim.owner].remote_invalidate(victim.line)
-            self.stats.add("inclusive_recalls")
-        for sharer in victim.sharers:
+            self._add_inclusive_recalls()
+        for sharer in _cores(victim.sharers):
             self._l1s[sharer].remote_invalidate(victim.line)
         if dirty:
             self._write_line_to_memory(victim.line)
@@ -434,11 +456,11 @@ class SharedL2:
         """Send a dirty line to its controller (the overtaking path that
         LogM's header-match gate protects against)."""
         if self.park_dirty_eviction is not None and self.park_dirty_eviction(line):
-            self.stats.add("parked_evictions")
+            self._add_parked_evictions()
             if on_persist is not None:
                 self.engine.post(1, on_persist)
             return
-        self.stats.add("memory_writebacks")
+        self._add_memory_writebacks()
         mc = self.controllers[self.layout.controller_of(line)]
         mc_tile = self._mc_tile[mc.mc_id]
         home = (line >> CACHE_LINE_SHIFT) % self.num_banks
@@ -476,7 +498,7 @@ class SharedL2:
                          + self._data_lat[owner_tile][home])
                 if self._l1s[entry.owner].remote_downgrade(line):
                     entry.dirty = True
-                entry.sharers.add(entry.owner)
+                entry.sharers |= 1 << entry.owner
                 entry.owner = None
             dirty = entry.dirty
             if dirty:
@@ -487,7 +509,7 @@ class SharedL2:
                 line, req_lat + self._l2_lat + extra + ack, on_done, acquired
             )
             return
-        self.stats.add("flushes")
+        self._add_flushes()
 
         def persisted() -> None:
             # Inclusion means only L1s in the directory entry can hold
@@ -497,7 +519,7 @@ class SharedL2:
             if holder is not None:
                 if holder.owner is not None:
                     self._l1s[holder.owner].clear_log_bit(line)
-                for sharer in holder.sharers:
+                for sharer in _cores(holder.sharers):
                     self._l1s[sharer].clear_log_bit(line)
             mc_id = self.controllers[self.layout.controller_of(line)].mc_id
             ack = self._ctrl_lat[self._mc_tile[mc_id]][req_tile]
@@ -524,13 +546,8 @@ class SharedL2:
 
     def resident_lines(self) -> list[int]:
         """All L2-resident line addresses (test aid)."""
-        return [
-            line
-            for bank in self._bank_sets
-            for target in bank
-            for line in target
-        ]
+        return list(self._lines)
 
     def __repr__(self) -> str:
-        resident = sum(len(t) for bank in self._bank_sets for t in bank)
-        return f"SharedL2(banks={self.num_banks}, resident={resident})"
+        return (f"SharedL2(banks={self.num_banks}, "
+                f"resident={len(self._lines)})")

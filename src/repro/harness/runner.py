@@ -9,6 +9,7 @@ figures need.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field, replace
 
 from repro.common.errors import ConfigError
@@ -96,7 +97,19 @@ def run_spec(spec: RunSpec, *, instrument=None) -> RunResult:
     before any thread starts — the hook the observability layer uses
     to install a :class:`~repro.obs.trace.Tracer` or
     :class:`~repro.obs.sample.StatSampler` without perturbing the run.
+
+    The machine is private to the run and is freed before this returns,
+    unless ``instrument`` kept a reference to it.  Its components refer
+    to each other, so only a full collection reclaims it: one per run,
+    here, rather than whenever the collector next runs, which lets it
+    overlap the next run's machine.
     """
+    result = _measure(spec, instrument)
+    gc.collect()
+    return result
+
+
+def _measure(spec: RunSpec, instrument) -> RunResult:
     system = System(build_config(spec))
     if instrument is not None:
         instrument(system)

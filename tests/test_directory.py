@@ -25,7 +25,7 @@ class TestProtocolFlows:
             run_until_idle(system)
         entry = system.l2.probe(0x40)
         assert entry.owner is None
-        assert 0 in entry.sharers and 1 in entry.sharers
+        assert entry.sharers == (1 << 0) | (1 << 1)
         assert system.l1s[0].probe(0x40).state is MESI.SHARED
 
     def test_writer_invalidates_sharers(self, system):
@@ -38,6 +38,21 @@ class TestProtocolFlows:
         assert system.l1s[1].probe(0x40) is None
         assert system.l1s[2].probe(0x40).state is MESI.MODIFIED
         assert system.l2.probe(0x40).owner == 2
+
+    def test_writer_invalidates_sharers_in_ascending_core_order(self, system):
+        for core in (3, 1, 2):
+            system.l1s[core].load_miss(0x40, lambda: None)
+            run_until_idle(system)
+        invalidated = []
+        for l1 in system.l1s:
+            def recording(line, _l1=l1, _inner=l1.remote_invalidate):
+                invalidated.append(_l1.core_id)
+                return _inner(line)
+            l1.remote_invalidate = recording
+        system.l1s[0].ensure_writable(0x40, False, lambda info: None)
+        run_until_idle(system)
+        assert invalidated == [1, 2, 3]
+        assert not system.l2.probe(0x40).sharers
 
     def test_ownership_transfer_between_writers(self, system):
         system.l1s[0].ensure_writable(0x40, False, lambda info: None)
@@ -65,6 +80,22 @@ class TestProtocolFlows:
         assert sorted(done) == [0, 1, 2, 3]
         # Exactly one fetch went to memory.
         assert system.stats.domain("l2").get("misses") == 1
+
+    def test_waiter_queue_exists_only_for_queued_requests(self, system):
+        system.l1s[0].load_miss(0x40, lambda: None)
+        run_until_idle(system)
+        assert system.l2.probe(0x40).waiters is None
+        # Queued behind a memory fetch, then behind a busy resident line.
+        done = []
+        for core in (2, 0, 3, 1):
+            system.l1s[core].load_miss(0x80, lambda c=core: done.append(c))
+        run_until_idle(system)
+        for core in (1, 3, 2):
+            system.l1s[core].ensure_writable(
+                0x40, False, lambda info, c=core: done.append(c))
+        run_until_idle(system)
+        assert done == [2, 0, 3, 1, 1, 3, 2]
+        assert system.l2.probe(0x40).owner == 2
 
     def test_concurrent_getx_single_final_owner(self, system):
         for core in range(4):
@@ -135,3 +166,24 @@ class TestInclusion:
             run_until_idle(system)
         assert l2.probe(victim_line) is None
         assert system.l1s[0].probe(victim_line) is None
+
+    def test_full_set_of_busy_ways_still_accepts_the_insert(self):
+        system = build_system(design=Design.NON_ATOMIC)
+        l2 = system.l2
+        set_stride = 64 * system.topology.num_tiles * l2.cfg.num_sets
+        lines = [0x40 + i * set_stride for i in range(l2.cfg.ways + 2)]
+        if lines[-1] >= system.config.data_bytes:
+            pytest.skip("data space too small for aliasing sweep")
+        evictions = l2.stats.get("evictions")
+        # A fresh insert stays busy until its transaction releases it.
+        for line in lines[:-1]:
+            l2._insert(line)
+        assert all(l2.probe(line) is not None for line in lines[:-1])
+        assert l2.stats.get("evictions") == evictions
+        # Once one way is idle, the next insert evicts it.
+        l2._release(lines[1])
+        l2._insert(lines[-1])
+        assert l2.probe(lines[1]) is None
+        assert l2.stats.get("evictions") == evictions + 1
+        assert sorted(l2.resident_lines()) == sorted(
+            lines[:1] + lines[2:])

@@ -1,5 +1,7 @@
 """Harness plumbing: runner, report rendering, experiment registry."""
 
+import weakref
+
 import pytest
 
 from repro.config import Design
@@ -71,6 +73,18 @@ class TestRunner:
         )
         result = run_spec(spec)
         assert result.log_entries > 0
+
+    def test_run_leaves_no_machine_alive(self):
+        spec = RunSpec(
+            design=Design.ATOM_OPT, workload="hash", num_cores=4,
+            txns_per_thread=2, warmup_per_thread=1, initial_items=8,
+        )
+        machines = []
+        result = run_spec(
+            spec, instrument=lambda system: machines.append(weakref.ref(system))
+        )
+        assert result.txns > 0
+        assert machines[0]() is None
 
 
 class TestRegistry:
