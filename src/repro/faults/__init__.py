@@ -38,6 +38,8 @@ through the design-policy modules.
 
 from __future__ import annotations
 
+from repro.common.lazy import lazy_exports
+
 _EXPORTS = {
     "RecoveryCost": "repro.faults.analytics",
     "FAULT_MODELS": "repro.faults.models",
@@ -62,11 +64,4 @@ _EXPORTS = {
 
 __all__ = sorted(_EXPORTS)
 
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module 'repro.faults' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module), name)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -4,23 +4,29 @@ Simulation points are submitted through the campaign layer
 (:mod:`repro.harness.campaign`): a multiprocessing fan-out plus a
 content-addressed on-disk result cache (:mod:`repro.harness.cache`).
 See ``python -m repro.harness --help`` for the CLI.
+
+Re-exports resolve lazily (PEP 562): importing one harness module (the
+campaign layer, say) does not import the experiments or the kernel
+benchmark.
 """
 
-from repro.harness.cache import ResultCache
-from repro.harness.campaign import Campaign, CrashSpec, crash_grid, crash_sweep
-from repro.harness.experiments import EXPERIMENTS, run_experiment
-from repro.harness.perf import run_perf
-from repro.harness.runner import RunSpec, run_spec
+from __future__ import annotations
 
-__all__ = [
-    "EXPERIMENTS",
-    "Campaign",
-    "CrashSpec",
-    "ResultCache",
-    "RunSpec",
-    "crash_grid",
-    "crash_sweep",
-    "run_experiment",
-    "run_perf",
-    "run_spec",
-]
+from repro.common.lazy import lazy_exports
+
+_EXPORTS = {
+    "ResultCache": "repro.harness.cache",
+    "Campaign": "repro.harness.campaign",
+    "CrashSpec": "repro.harness.campaign",
+    "crash_grid": "repro.harness.campaign",
+    "crash_sweep": "repro.harness.campaign",
+    "EXPERIMENTS": "repro.harness.experiments",
+    "run_experiment": "repro.harness.experiments",
+    "run_perf": "repro.harness.perf",
+    "RunSpec": "repro.harness.runner",
+    "run_spec": "repro.harness.runner",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

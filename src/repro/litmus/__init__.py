@@ -24,41 +24,44 @@ be visible").  The subsystem has three layers:
 ``python -m repro.harness litmus`` runs the built-in catalog
 (:mod:`repro.litmus.catalog`) and writes a per-test × design verdict
 table as a JSON artifact.
+
+Re-exports resolve lazily (PEP 562): the litmus compiler imports
+:mod:`repro.litmus.spec`, and a catalog run should not pay for the
+generator.
 """
 
-from repro.litmus.catalog import CATALOG, catalog_by_name
-from repro.litmus.explorer import (LITMUS_DESIGNS, LitmusPoint, LitmusReport,
-                                   execute_litmus_point, explore)
-from repro.litmus.generator import (GeneratorParams, generate, generate_spec,
-                                    reachable_states)
-from repro.litmus.spec import (LitmusError, LitmusSpec, begin, br_ne, commit,
-                               compile_condition, compute, fill, flush, load,
-                               loadr, lock, store, unlock)
+from __future__ import annotations
 
-__all__ = [
-    "CATALOG",
-    "LITMUS_DESIGNS",
-    "GeneratorParams",
-    "LitmusError",
-    "LitmusPoint",
-    "LitmusReport",
-    "LitmusSpec",
-    "begin",
-    "br_ne",
-    "catalog_by_name",
-    "commit",
-    "compile_condition",
-    "compute",
-    "execute_litmus_point",
-    "explore",
-    "fill",
-    "flush",
-    "generate",
-    "generate_spec",
-    "load",
-    "loadr",
-    "lock",
-    "reachable_states",
-    "store",
-    "unlock",
-]
+from repro.common.lazy import lazy_exports
+
+_EXPORTS = {
+    "CATALOG": "repro.litmus.catalog",
+    "catalog_by_name": "repro.litmus.catalog",
+    "LITMUS_DESIGNS": "repro.litmus.explorer",
+    "LitmusPoint": "repro.litmus.explorer",
+    "LitmusReport": "repro.litmus.explorer",
+    "execute_litmus_point": "repro.litmus.explorer",
+    "explore": "repro.litmus.explorer",
+    "GeneratorParams": "repro.litmus.generator",
+    "generate": "repro.litmus.generator",
+    "generate_spec": "repro.litmus.generator",
+    "reachable_states": "repro.litmus.generator",
+    "LitmusError": "repro.litmus.spec",
+    "LitmusSpec": "repro.litmus.spec",
+    "begin": "repro.litmus.spec",
+    "br_ne": "repro.litmus.spec",
+    "commit": "repro.litmus.spec",
+    "compile_condition": "repro.litmus.spec",
+    "compute": "repro.litmus.spec",
+    "fill": "repro.litmus.spec",
+    "flush": "repro.litmus.spec",
+    "load": "repro.litmus.spec",
+    "loadr": "repro.litmus.spec",
+    "lock": "repro.litmus.spec",
+    "store": "repro.litmus.spec",
+    "unlock": "repro.litmus.spec",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -22,26 +22,45 @@ them to controllers and log regions.
 
 Touched-line tracking
 ---------------------
-Both planes record, at cache-line granularity, which lines have ever
-been written since construction.  A simulated machine touches a tiny
-fraction of its address space, so whole-image operations — the crash
-reset, the whole-image digest, :meth:`durable_copy` and buffer
-recycling — visit only touched lines.  This is what makes
-campaign-sized points (litmus grids, fault matrices, crash sweeps:
-thousands of machines or power cuts per run) cheap: the per-point fixed
-cost is proportional to the state actually used, not to the configured
-memory size.
+The image records where each plane has been written since construction,
+by 4 KB page (64 lines, the interleave granule of ATOM's memory,
+§IV-E).  A simulated machine touches a tiny fraction of its address
+space, so whole-image operations — the crash reset, the whole-image
+digest, :meth:`durable_copy` and buffer recycling — visit only touched
+pages.  This is what makes campaign-sized points (litmus grids, fault
+matrices, crash sweeps: thousands of machines or power cuts per run)
+cheap: the per-point fixed cost is proportional to the state actually
+used, not to the configured memory size.
 
-Every caller reads the touched durable lines in address order from one
-memoized sorted view (:meth:`touched_durable_lines`), so the power
-cuts, scrub passes, digests and bit-rot walks of one image version
-share a single sort.  The plane operations move one slice per *run* of
-adjacent touched lines (:func:`_spans`), never more slices than lines:
-touched lines sit in long runs (dozens per 4 KB page on the crash and
-fault jobs).  The whole-image digest is also memoized: every
-durable-plane mutation drops the memo, so re-hashing an image no write
-has reached since its last digest (a recovery pass that found nothing
-to do) costs nothing.
+The durable plane keeps one 64-bit line mask per touched page, the
+form of LogM's per-bucket bit vectors in the ADR block (§IV-D): it is
+exact, so any line whose bit is clear is all-zero in the plane.  The
+volatile plane keeps only the numbers of the pages stores wrote since
+it was last set to the durable plane (by a crash, or by the
+:meth:`durable_copy` that made it) and whether it ever was: outside
+those pages it holds only what it took from the durable plane, which
+lies within the durable lines touched since, as masks only grow.  A
+superset of pages is safe.  A single-line store costs one set
+insertion and a single-line persist one dict lookup (and a store when
+its bit is new), and the bookkeeping of a machine that writes
+megabytes is a few thousand page entries, not one int object per line.
+
+Every caller that reads touched durable lines one by one (the scrub's
+per-controller counts, bit-rot's walk, the digest) reads them in
+address order from one memoized tuple (:meth:`touched_durable_lines`),
+rebuilt from the masks only after a persist or damage set a new bit,
+so the scrub passes, digests and bit-rot walks of one image version
+share a single build.  The plane operations instead walk runs of
+pages: the store pages as whole pages (:func:`_page_runs`), the
+durable pages each from its first to its last touched line
+(:func:`_line_runs`), so a point that touches a few lines per page
+moves a few lines, not whole pages.  Recycling zeroes the volatile
+plane over the durable runs only if it took them from the durable
+plane, so neither plane's zeroing faults in a page that plane did not
+write.  The whole-image digest is also memoized: every durable-plane
+mutation drops the memo, so re-hashing an image no write has reached
+since its last digest (a recovery pass that found nothing to do)
+costs nothing.
 
 Each plane is an anonymous private memory mapping rather than a
 ``bytearray``: the kernel supplies zero pages on first touch, so a plane
@@ -75,21 +94,30 @@ import hashlib
 import mmap
 import struct
 import zlib
+from itertools import compress
 
 from repro.common.errors import MemoryError_
-from repro.common.units import CACHE_LINE_BYTES
+from repro.common.units import CACHE_LINE_BYTES, CACHE_LINE_SHIFT
 
 _U64 = struct.Struct("<Q")
 _LINE_MASK = ~(CACHE_LINE_BYTES - 1)
 _ZERO_LINE = bytes(CACHE_LINE_BYTES)
-#: What :meth:`MemoryImage.recycle` zeroes a run with.  Shared and never
+#: Touched-line bookkeeping granule: a 4 KB page of 64 lines, one bit
+#: per line in a durable page's mask (see module docstring).
+_PAGE_SHIFT = 12
+_PAGE_BYTES = 1 << _PAGE_SHIFT
+_PAGE_LINE_BITS = (1 << (_PAGE_SHIFT - CACHE_LINE_SHIFT)) - 1
+#: Maps a page mask's binary digits to the 0/1 bytes that select its
+#: lines (see :meth:`MemoryImage.touched_durable_lines`).
+_BIT_BYTES = str.maketrans("01", "\x00\x01")
+#: What :func:`_zero_runs` zeroes a run with.  Shared and never
 #: written, so its pages stay unbacked: a fresh zero buffer per run
 #: would leave its size resident in the heap.
 _ZEROS = memoryview(bytes(1 << 20))
 
 #: Recycled (volatile, durable) buffer pairs, keyed by size.  A campaign
 #: worker builds thousands of same-shaped machines and power cuts back
-#: to back; zeroing a retired image's touched lines and reusing its
+#: to back; zeroing a retired image's touched pages and reusing its
 #: buffers is far cheaper than two fresh multi-megabyte mappings per
 #: point.  Only :meth:`MemoryImage.recycle` puts buffers here, and only
 #: a caller that owns the image outright (the point executors) may call
@@ -109,21 +137,73 @@ def _plane(size: int) -> mmap.mmap:
     return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
 
 
-def _spans(lines) -> list[tuple[int, int]]:
-    """``(start, end)`` byte ranges of the runs of adjacent ``lines``
-    (ascending line bases): the one per-line loop of the plane operations.
+def _page_runs(pages, limit: int) -> list[tuple[int, int]]:
+    """``(start, end)`` byte ranges of the runs of adjacent ``pages``,
+    the last one clipped to the image size ``limit``: the walk over the
+    pages stores wrote.
     """
-    spans = []
+    runs = []
     start = end = None
-    for base in lines:
-        if base != end:
+    for page in sorted(pages):
+        if page != end:
             if end is not None:
-                spans.append((start, end))
-            start = base
-        end = base + CACHE_LINE_BYTES
+                runs.append((start << _PAGE_SHIFT, end << _PAGE_SHIFT))
+            start = page
+        end = page + 1
     if end is not None:
-        spans.append((start, end))
-    return spans
+        runs.append((start << _PAGE_SHIFT, min(end << _PAGE_SHIFT, limit)))
+    return runs
+
+
+def _line_runs(masks: dict[int, int]) -> list[tuple[int, int]]:
+    """``(start, end)`` byte ranges covering each page of the page masks
+    ``masks`` from its first to its last touched line, with ranges that
+    meet merged: a run of full pages is one range.
+    """
+    runs = []
+    start = end = None
+    for page in sorted(masks):
+        mask = masks[page]
+        base = page << _PAGE_SHIFT
+        first = base + (((mask & -mask).bit_length() - 1) << CACHE_LINE_SHIFT)
+        if first != end:
+            if end is not None:
+                runs.append((start, end))
+            start = first
+        end = base + (mask.bit_length() << CACHE_LINE_SHIFT)
+    if end is not None:
+        runs.append((start, end))
+    return runs
+
+
+def _mark_lines(masks: dict[int, int], first: int, last: int) -> bool:
+    """Set the bits of lines ``first`` to ``last`` (line bases) in the
+    page masks ``masks``; True iff a bit was not set before."""
+    new = False
+    page, last_page = first >> _PAGE_SHIFT, last >> _PAGE_SHIFT
+    low = (first >> CACHE_LINE_SHIFT) & _PAGE_LINE_BITS
+    high = (last >> CACHE_LINE_SHIFT) & _PAGE_LINE_BITS
+    while page <= last_page:
+        top = high if page == last_page else _PAGE_LINE_BITS
+        bits = (2 << top) - (1 << low)
+        mask = masks.get(page, 0)
+        if bits & ~mask:
+            masks[page] = mask | bits
+            new = True
+        page += 1
+        low = 0
+    return new
+
+
+def _zero_runs(view: memoryview, runs) -> None:
+    """Zero the ``(start, end)`` byte ranges ``runs`` of ``view`` from
+    the shared zero buffer."""
+    step = len(_ZEROS)
+    for start, end in runs:
+        while end - start > step:
+            view[start : start + step] = _ZEROS
+            start += step
+        view[start:end] = _ZEROS[: end - start]
 
 
 class MemoryImage:
@@ -160,15 +240,19 @@ class MemoryImage:
         # exist), only mutated in place.
         self._vol_view = memoryview(self._volatile)
         self._dur_view = memoryview(self._durable)
-        #: Line base addresses ever written in each plane (see module
-        #: docstring).  Invariant: any line absent from the set is
-        #: all-zero in its plane.
-        self._vol_touched: set[int] = set()
-        self._dur_touched: set[int] = set()
-        #: Memoized sorted ``_dur_touched`` and the set object it sorts
-        #: (see :meth:`touched_durable_lines`).
-        self._view: tuple[int, ...] = ()
-        self._view_of: set[int] | None = None
+        #: Touched-line bookkeeping (see module docstring).  The pages
+        #: stores wrote since the volatile plane was last set to the
+        #: durable plane, and whether it ever was: the volatile plane
+        #: is all-zero outside those pages, except, once set, within
+        #: the durable plane's touched lines.
+        self._vol_pages: set[int] = set()
+        self._vol_mirrors_durable = False
+        #: page -> 64-bit mask of the durable lines ever written in it:
+        #: any line whose bit is clear is all-zero in the durable plane.
+        self._dur_lines: dict[int, int] = {}
+        #: Memoized :meth:`touched_durable_lines`; None once a persist
+        #: or damage has set a new bit.
+        self._view: tuple[int, ...] | None = ()
 
     # -- bounds -----------------------------------------------------------
 
@@ -181,10 +265,10 @@ class MemoryImage:
 
     # -- volatile (latest-value) accessors ---------------------------------
     #
-    # write()/write_u64()/persist() each inline the same first/last-line
-    # touch-range computation (single-line accesses dominate and these
-    # are the hottest mutation paths) — a change to the range logic must
-    # be applied to all three copies.
+    # write() and persist() inline their single-page and single-line
+    # touch (single-line accesses dominate and these are the hottest
+    # mutation paths); longer ranges take a range update or
+    # _mark_lines, which damage() shares.
 
     def read(self, addr: int, size: int) -> bytes:
         """Read ``size`` bytes of the latest value at ``addr``."""
@@ -198,15 +282,13 @@ class MemoryImage:
         if addr < 0 or addr + size > self.size_bytes:
             self._check(addr, size)
         self._volatile[addr : addr + size] = data
-        # Inline single-line touch (word stores dominate).
-        first = addr & _LINE_MASK
-        last = (addr + size - 1) & _LINE_MASK
+        # Inline single-page touch (word stores dominate).
+        first = addr >> _PAGE_SHIFT
+        last = (addr + size - 1) >> _PAGE_SHIFT
         if first == last:
-            self._vol_touched.add(first)
+            self._vol_pages.add(first)
         else:
-            self._vol_touched.update(
-                range(first, last + 1, CACHE_LINE_BYTES)
-            )
+            self._vol_pages.update(range(first, last + 1))
 
     def read_u64(self, addr: int) -> int:
         """Latest 8-byte little-endian word at ``addr``."""
@@ -217,7 +299,8 @@ class MemoryImage:
         """Store an 8-byte little-endian word into the volatile image."""
         self._check(addr, 8)
         _U64.pack_into(self._volatile, addr, value)
-        self._vol_touched.add(addr & _LINE_MASK)
+        self._vol_pages.update((addr >> _PAGE_SHIFT,
+                                (addr + 7) >> _PAGE_SHIFT))
 
     def volatile_line(self, addr: int) -> bytes:
         """Snapshot the 64 B cache line containing ``addr`` (latest value).
@@ -263,16 +346,22 @@ class MemoryImage:
         first = addr & _LINE_MASK
         last = (addr + size - 1) & _LINE_MASK
         if first == last:
-            self._dur_touched.add(first)
+            page = first >> _PAGE_SHIFT
+            bit = 1 << ((first >> CACHE_LINE_SHIFT) & _PAGE_LINE_BITS)
+            mask = self._dur_lines.get(page, 0)
+            if not mask & bit:
+                self._dur_lines[page] = mask | bit
+                self._view = None
             if self.line_checksums:
                 self._line_crc[first] = zlib.crc32(
                     self._dur_view[first : first + CACHE_LINE_BYTES]
                 )
                 self._suspect.discard(first)
         else:
-            lines = range(first, last + 1, CACHE_LINE_BYTES)
-            self._dur_touched.update(lines)
+            if _mark_lines(self._dur_lines, first, last):
+                self._view = None
             if self.line_checksums:
+                lines = range(first, last + 1, CACHE_LINE_BYTES)
                 crc = zlib.crc32
                 dur = self._dur_view
                 crc_map = self._line_crc
@@ -317,12 +406,12 @@ class MemoryImage:
         self._digest = None
         first = addr & _LINE_MASK
         last = (addr + size - 1) & _LINE_MASK
-        lines = range(first, last + 1, CACHE_LINE_BYTES)
-        self._dur_touched.update(lines)
+        if _mark_lines(self._dur_lines, first, last):
+            self._view = None
         if self.line_checksums:
             # Even an unchanged line is suspect: one only a damage path
             # ever wrote has no checksum to verify against.
-            self._suspect.update(lines)
+            self._suspect.update(range(first, last + 1, CACHE_LINE_BYTES))
         return changed
 
     def verify_line(self, addr: int) -> bool:
@@ -349,21 +438,29 @@ class MemoryImage:
         Damage paths register their lines here too, so this is all
         durable state: the lines a media scrub reads (its modelled
         traffic charges each one), of which :meth:`scrub` verifies only
-        the checksum-suspect ones.  Memoized: the set only grows until
-        :meth:`recycle` replaces it, so the view holds while the set is
-        the same object with the same length.
+        the checksum-suspect ones.  Memoized: the tuple is rebuilt from
+        the page masks only after a persist or damage set a new bit.
         """
-        touched = self._dur_touched
-        if self._view_of is not touched or len(self._view) != len(touched):
-            self._view = tuple(sorted(touched))
-            self._view_of = touched
+        if self._view is None:
+            lines = []
+            masks = self._dur_lines
+            for page in sorted(masks):
+                mask = masks[page]
+                base = page << _PAGE_SHIFT
+                if not mask & (mask - 1):  # one line
+                    lines.append(base + ((mask.bit_length() - 1)
+                                         << CACHE_LINE_SHIFT))
+                    continue
+                # The mask's bits, lowest first, as 0/1 bytes that
+                # select the page's lines.
+                bits = bin(mask)[:1:-1].translate(_BIT_BYTES).encode()
+                lines.extend(compress(
+                    range(base, base + (len(bits) << CACHE_LINE_SHIFT),
+                          CACHE_LINE_BYTES),
+                    bits,
+                ))
+            self._view = tuple(lines)
         return self._view
-
-    def _touched_union(self):
-        """Sorted lines either plane has touched."""
-        if self._vol_touched <= self._dur_touched:
-            return self.touched_durable_lines()
-        return sorted(self._vol_touched | self._dur_touched)
 
     def scrub(self) -> list[int]:
         """Sorted base addresses of the touched lines failing verification.
@@ -444,13 +541,16 @@ class MemoryImage:
         """Power failure: all volatile state is lost.
 
         The volatile image is reset to the durable image (after recovery,
-        the machine reboots seeing only NVM contents), one slice per run
-        of lines either plane has touched.
+        the machine reboots seeing only NVM contents): the pages stores
+        wrote are zeroed, one slice per run, and then the durable plane
+        is copied one slice per run of its touched lines' pages.
         """
         vol, dur = self._vol_view, self._dur_view
-        for start, end in _spans(self._touched_union()):
+        _zero_runs(vol, _page_runs(self._vol_pages, self.size_bytes))
+        for start, end in _line_runs(self._dur_lines):
             vol[start:end] = dur[start:end]
-        self._vol_touched |= self._dur_touched
+        self._vol_pages = set()
+        self._vol_mirrors_durable = True
 
     def durable_copy(self) -> "MemoryImage":
         """A new image whose two planes both hold this durable plane.
@@ -459,53 +559,56 @@ class MemoryImage:
         own, while this image lives on untouched — the image of a
         non-destructive power cut (``System.power_cut``).  The checksum
         plane and its suspect lines come along.  The buffers are drawn
-        from the pool and the runs of touched durable lines are copied
-        from this image's sorted view, which the copy inherits; cuts of
-        one unchanged image share one sort.  The caller owns the copy
-        and may :meth:`recycle` it.
+        from the pool and the runs of durable pages are copied into
+        both; the copy inherits this image's page masks and, if built,
+        its :meth:`touched_durable_lines` tuple.  The caller owns the
+        copy and may :meth:`recycle` it.
         """
         copy = MemoryImage(self.size_bytes, line_checksums=self.line_checksums)
-        view = self.touched_durable_lines()
         src = self._dur_view
         vol, dur = copy._vol_view, copy._dur_view
-        for start, end in _spans(view):
+        for start, end in _line_runs(self._dur_lines):
             chunk = src[start:end]
             vol[start:end] = chunk
             dur[start:end] = chunk
-        copy._dur_touched = set(self._dur_touched)
-        copy._vol_touched = set(self._dur_touched)
-        copy._view, copy._view_of = view, copy._dur_touched
+        copy._dur_lines = dict(self._dur_lines)
+        copy._vol_mirrors_durable = True
+        copy._view = self._view
         copy._line_crc = dict(self._line_crc)
         copy._suspect = set(self._suspect)
         return copy
 
     def recycle(self) -> None:
-        """Zero the touched lines and donate the buffers to the pool.
+        """Zero the touched pages and donate the buffers to the pool.
 
         STRICTLY an ownership transfer: the caller must be the sole
         holder of this image (and of any system built around it) and
         must not touch either plane afterwards — the buffers will back a
         *different* machine's memory.  Point executors (litmus, crash,
         fault workers) call this once they have extracted their values
-        from a machine or power cut that was private to them.  Both
-        planes are zeroed one slice per run of lines either touched.
+        from a machine or power cut that was private to them.  Each
+        plane is zeroed one slice per run of its own touched pages (see
+        the module docstring).
         """
         pooled = _BUFFER_POOL.setdefault(self.size_bytes, [])
         if len(pooled) >= _POOL_DEPTH:
             return
-        lines = self._touched_union()
-        # A heavily-written image is cheaper to reallocate than to zero.
-        if len(lines) * CACHE_LINE_BYTES * 4 > self.size_bytes:
+        volatile, durable = self._vol_pages, self._dur_lines
+        # A heavily-written image is cheaper to reallocate than to zero:
+        # drop it once the pages either plane touched pass a quarter of
+        # the image.
+        touched = len(volatile.union(durable))
+        if touched * _PAGE_BYTES * 4 > self.size_bytes:
             return
-        vol, dur = self._vol_view, self._dur_view
-        for start, end in _spans(lines):
-            size = end - start
-            zeros = _ZEROS[:size] if size <= len(_ZEROS) else bytes(size)
-            vol[start:end] = zeros
-            dur[start:end] = zeros
-        self._vol_touched = set()
-        self._dur_touched = set()
-        self._view, self._view_of = (), None
+        runs = _line_runs(durable)
+        _zero_runs(self._vol_view, _page_runs(volatile, self.size_bytes))
+        if self._vol_mirrors_durable:
+            _zero_runs(self._vol_view, runs)
+        _zero_runs(self._dur_view, runs)
+        self._vol_pages = set()
+        self._vol_mirrors_durable = False
+        self._dur_lines = {}
+        self._view = ()
         self._line_crc = {}
         self._suspect = set()
         self._digest = None

@@ -28,25 +28,29 @@ simulator is a nullable attribute checked with one predictable branch
 (the same gate the fault injector pays), and an installed tracer only
 *reads* simulated state — golden kernel digests are bit-identical with
 tracing on and off.
+
+Re-exports resolve lazily (PEP 562): the campaign layer imports
+:mod:`repro.obs.fabric`, and a sweep should not pay for the dashboard,
+the sampler or the analyzers until it calls one.
 """
 
-from repro.obs.analyze import (
-    aggregate_breakdowns, decompose_trace, differential, recovery_figure,
-)
-from repro.obs.dash import build_dashboard, external_references
-from repro.obs.fabric import FabricTelemetry
-from repro.obs.sample import StatSampler
-from repro.obs.trace import Tracer, validate_chrome_trace
+from __future__ import annotations
 
-__all__ = [
-    "FabricTelemetry",
-    "StatSampler",
-    "Tracer",
-    "aggregate_breakdowns",
-    "build_dashboard",
-    "decompose_trace",
-    "differential",
-    "external_references",
-    "recovery_figure",
-    "validate_chrome_trace",
-]
+from repro.common.lazy import lazy_exports
+
+_EXPORTS = {
+    "aggregate_breakdowns": "repro.obs.analyze",
+    "decompose_trace": "repro.obs.analyze",
+    "differential": "repro.obs.analyze",
+    "recovery_figure": "repro.obs.analyze",
+    "build_dashboard": "repro.obs.dash",
+    "external_references": "repro.obs.dash",
+    "FabricTelemetry": "repro.obs.fabric",
+    "StatSampler": "repro.obs.sample",
+    "Tracer": "repro.obs.trace",
+    "validate_chrome_trace": "repro.obs.trace",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

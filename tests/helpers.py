@@ -22,10 +22,29 @@ from repro.harness.testbed import (  # noqa: F401 — re-exported
 __all__ = [
     "build_system",
     "crash_run",
+    "line_runs",
     "reference_digest",
     "run_workload_to_completion",
     "small_config",
 ]
+
+
+def line_runs(lines) -> list[tuple[int, int]]:
+    """``(start, end)`` byte ranges of the runs of adjacent ``lines``
+    (ascending line bases): the line-wise reference for the memory
+    image's page-run walk.
+    """
+    runs = []
+    start = end = None
+    for base in lines:
+        if base != end:
+            if end is not None:
+                runs.append((start, end))
+            start = base
+        end = base + CACHE_LINE_BYTES
+    if end is not None:
+        runs.append((start, end))
+    return runs
 
 
 def reference_digest(image, lines=None) -> str:

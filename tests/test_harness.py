@@ -1,9 +1,17 @@
 """Harness plumbing: runner, report rendering, experiment registry."""
 
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
+import repro
+import repro.harness
+import repro.litmus
+import repro.obs
 from repro.config import Design
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.report import format_markdown, format_table, gmean
@@ -206,3 +214,36 @@ class TestCrashSweepCli:
 
         with pytest.raises(SystemExit):
             main(["--out", str(tmp_path / "x.json")])
+
+
+class TestLazyReExports:
+    #: Modules a sweep needs only when it calls into them.
+    DEFERRED = ("repro.obs.dash", "repro.obs.sample", "repro.harness.perf",
+                "platform", "repro.litmus.generator", "repro.obs.analyze",
+                "repro.obs.trace")
+
+    def test_job_imports_leave_optional_modules_unloaded(self):
+        """The modules the benchmark jobs import (campaign layer,
+        experiments, litmus explorer, fault sweep) load none of
+        ``DEFERRED``: the package re-exports resolve on first use."""
+        code = (
+            "import sys\n"
+            "import repro.faults.models, repro.faults.sweep\n"
+            "import repro.harness.campaign, repro.harness.experiments\n"
+            "import repro.litmus.catalog, repro.litmus.explorer\n"
+            f"print(' '.join(m for m in {self.DEFERRED!r} "
+            "if m in sys.modules))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True,
+        )
+        assert done.stdout.split() == []
+
+    def test_re_exports_resolve(self):
+        for package in (repro.harness, repro.litmus, repro.obs):
+            for name in package.__all__:
+                assert getattr(package, name) is not None, name
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(repro.obs, "no_such_name")

@@ -3,9 +3,10 @@
 import os
 import signal
 import time
+import tracemalloc
 
 import pytest
-from helpers import reference_digest
+from helpers import line_runs, reference_digest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -250,13 +251,20 @@ def _checksum_ops(draw):
     return size, ops
 
 
-class _Shadow:
-    """An image under test with a ``bytearray`` copy of each plane."""
+def _lines_of(addr: int, size: int) -> range:
+    """Base addresses of the lines ``[addr, addr + size)`` writes."""
+    return range(addr & -_LINE, addr + size, _LINE)
 
-    def __init__(self, image: MemoryImage):
+
+class _Shadow:
+    """An image under test with a ``bytearray`` copy of each plane and
+    a reference set of the durable lines ever written."""
+
+    def __init__(self, image: MemoryImage, touched=()):
         self.image = image
         self.volatile = bytearray(image.size_bytes)
         self.durable = bytearray(image.size_bytes)
+        self.touched = set(touched)
 
 
 class TestIncrementalScrubAndDigest:
@@ -266,10 +274,10 @@ class TestIncrementalScrubAndDigest:
     checksummed image, both planes must equal a ``bytearray`` shadow
     over the whole image, an image drawn from the pool after
     :meth:`MemoryImage.recycle` must be all-zero, the memoized
-    :meth:`MemoryImage.touched_durable_lines` must equal a fresh sort of
-    the touched set, :meth:`MemoryImage.scrub` must equal verifying
-    every touched line, and :meth:`MemoryImage.durable_digest` must
-    equal the digest recomputed from the whole durable plane.
+    :meth:`MemoryImage.touched_durable_lines` must equal a sort of the
+    shadow's own touched-line set, :meth:`MemoryImage.scrub` must equal
+    verifying every touched line, and :meth:`MemoryImage.durable_digest`
+    must equal the digest recomputed from the whole durable plane.
     """
 
     @staticmethod
@@ -281,7 +289,7 @@ class TestIncrementalScrubAndDigest:
             image.crash()
             shadow.volatile[:] = shadow.durable
         elif kind == "durable_copy":
-            copy = _Shadow(image.durable_copy())
+            copy = _Shadow(image.durable_copy(), shadow.touched)
             TestIncrementalScrubAndDigest._check(shadow)  # the source lives on
             copy.volatile[:] = copy.durable[:] = shadow.durable
             return copy
@@ -318,6 +326,8 @@ class TestIncrementalScrubAndDigest:
                 data = payload[:room][:args[2]]
                 image.persist_torn(addr, payload[:room], args[2])
             shadow.durable[addr:addr + len(data)] = data
+            if data:  # a tear with an empty prefix writes nothing
+                shadow.touched.update(_lines_of(addr, len(data)))
         return shadow
 
     @staticmethod
@@ -326,7 +336,7 @@ class TestIncrementalScrubAndDigest:
         size = image.size_bytes
         assert image.read(0, size) == shadow.volatile
         assert image.durable_read(0, size) == shadow.durable
-        assert image.touched_durable_lines() == tuple(sorted(image._dur_touched))
+        assert image.touched_durable_lines() == tuple(sorted(shadow.touched))
         full_walk = [base for base in image.touched_durable_lines()
                      if not image.verify_line(base)]
         assert image.scrub() == full_walk
@@ -387,3 +397,164 @@ class TestIncrementalScrubAndDigest:
         image.write(256, b"volatile only")
         image.crash()
         assert image.durable_digest() == digests[-1]
+
+
+def _page_spans_of_runs(runs) -> list[tuple[int, int]]:
+    """Line runs with every gap inside one page filled: each touched
+    page spans from its first to its last touched line."""
+    merged = []
+    for start, end in runs:
+        if merged and (merged[-1][1] - _LINE) // _PAGE == start // _PAGE:
+            merged[-1] = (merged[-1][0], end)
+        else:
+            merged.append((start, end))
+    return merged
+
+
+def _pages_of_runs(runs, size) -> list[tuple[int, int]]:
+    """Line runs widened to whole pages (the last clipped to ``size``),
+    with runs that then meet or overlap merged."""
+    merged = []
+    for start, end in runs:
+        start = start & -_PAGE
+        end = min(-(-end // _PAGE) * _PAGE, size)
+        if merged and merged[-1][1] >= start:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+    return merged
+
+
+@st.composite
+def _line_ranges(draw):
+    """An image size and byte ranges to persist or damage in it.
+
+    Ranges cover single lines (bit 63 of a page's mask included), full
+    pages, runs that cross page boundaries, and multi-page spans.
+    """
+    size = draw(st.sampled_from(_SCRUB_SIZES))
+    lines = size // _LINE
+    pages = -(-lines // 64)
+    page = st.integers(min_value=0, max_value=pages - 1)
+    shapes = st.one_of(
+        st.tuples(st.integers(min_value=0, max_value=lines - 1), st.just(1)),
+        st.builds(lambda p: (p * 64 + 63, 1), page),
+        st.builds(lambda p: (p * 64, 64), page),
+        st.builds(lambda p, back, on: (p * 64 - back, back + on),
+                  st.integers(min_value=1, max_value=pages),
+                  st.integers(min_value=1, max_value=8),
+                  st.integers(min_value=1, max_value=8)),
+        st.tuples(st.integers(min_value=0, max_value=lines - 1),
+                  st.integers(min_value=65, max_value=160)),
+    )
+    ranges = []
+    for first, count in draw(st.lists(shapes, min_size=1, max_size=12)):
+        first = min(first, lines - 1)
+        last = min(first + count, lines) - 1
+        head = draw(st.integers(min_value=0, max_value=_LINE - 1))
+        tail = draw(st.integers(min_value=1, max_value=_LINE))
+        if first == last:
+            tail = max(tail, head + 1)
+        kind = draw(st.sampled_from(("persist", "damage")))
+        ranges.append((kind, first * _LINE + head, last * _LINE + tail))
+    return size, ranges
+
+
+class TestPageWalk:
+    """The page walks and the touched-line tuple against the line-wise
+    reference walk (``helpers.line_runs``)."""
+
+    @given(_line_ranges())
+    def test_page_runs_and_view_equal_the_line_reference(self, scenario):
+        size, ranges = scenario
+        image = MemoryImage(size, line_checksums=True)
+        touched = set()
+        for kind, start, end in ranges:
+            data = bytes([len(touched) % 255 + 1]) * (end - start)
+            getattr(image, kind)(start, data)
+            touched.update(_lines_of(start, end - start))
+        lines = sorted(touched)
+        runs = line_runs(lines)
+        assert image.touched_durable_lines() == tuple(
+            base for start, end in runs
+            for base in range(start, end, _LINE))
+        pages = {base // _PAGE for base in lines}
+        assert image_mod._page_runs(pages, size) == _pages_of_runs(runs, size)
+        assert (image_mod._line_runs(image._dur_lines)
+                == _page_spans_of_runs(runs))
+
+
+class TestBookkeepingMemory:
+    """Touched-line bookkeeping stays small on a megabyte footprint."""
+
+    #: figures' sps 4 KB point: 32 threads x 48 items x 4 KB.
+    LINES = 32 * 48 * 4096 // _LINE
+    #: The footprint starts mid-page, so it spans one more page.
+    FIRST = _PAGE + 7 * _LINE
+    #: Over four times the footprint, so :meth:`MemoryImage.recycle`
+    #: zeroes and pools rather than drops; it ends in a partial page
+    #: and no other test uses it.
+    SIZE = 4 * (LINES // 64 + 4) * _PAGE + 20 * _LINE
+    CHUNK = 1 << 20
+
+    def _check_plane(self, read, shadow: bytearray) -> None:
+        """``read`` equals ``shadow`` over the footprint's pages and is
+        zero everywhere else."""
+        low, high = _PAGE, _PAGE + len(shadow)
+        for at in range(0, self.SIZE, self.CHUNK):
+            end = min(at + self.CHUNK, self.SIZE)
+            expect = bytearray(end - at)
+            lo, hi = max(at, low), min(end, high)
+            if lo < hi:
+                expect[lo - at:hi - at] = shadow[lo - low:hi - low]
+            assert read(at, end - at) == expect, hex(at)
+
+    def test_megabyte_footprint(self):
+        # The shadows cover pages 1 to ``extra``: the footprint's pages
+        # and one page past them.
+        extra = (self.FIRST + self.LINES * _LINE - 1) // _PAGE + 1
+        span = extra * _PAGE
+        volatile, durable = bytearray(span), bytearray(span)
+        patterns = [bytes([i]) * _LINE for i in range(256)]
+        image = MemoryImage(self.SIZE)
+        addrs = range(self.FIRST, self.FIRST + self.LINES * _LINE, _LINE)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i, addr in enumerate(addrs):
+                image.write(addr, patterns[i % 251])
+                image.persist(addr, patterns[i % 241])
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 1 << 20, f"bookkeeping grew the heap by {grown:,} B"
+        for i, addr in enumerate(addrs):
+            volatile[addr - _PAGE:addr - _PAGE + _LINE] = patterns[i % 251]
+            durable[addr - _PAGE:addr - _PAGE + _LINE] = patterns[i % 241]
+        # A volatile-only word in a page the durable plane never wrote.
+        stray = extra * _PAGE + 8
+        image.write(stray, b"\xfe" * 8)
+        volatile[stray - _PAGE:stray - _PAGE + 8] = b"\xfe" * 8
+        self._check_plane(image.read, volatile)
+        self._check_plane(image.durable_read, durable)
+        assert image.touched_durable_lines() == tuple(addrs)
+        try:
+            image.crash()
+            self._check_plane(image.read, durable)
+            self._check_plane(image.durable_read, durable)
+            copy = image.durable_copy()
+            image.write(self.FIRST, b"\x01")  # the source lives on
+            self._check_plane(copy.read, durable)
+            self._check_plane(copy.durable_read, durable)
+            assert copy.touched_durable_lines() == tuple(addrs)
+            planes = {id(copy._durable), id(image._durable)}
+            copy.recycle()
+            image.recycle()
+            pool = image_mod._BUFFER_POOL[self.SIZE]
+            assert {id(pair[1]) for pair in pool} == planes
+            for _ in planes:
+                fresh = MemoryImage(self.SIZE)
+                self._check_plane(fresh.read, bytearray(span))
+                self._check_plane(fresh.durable_read, bytearray(span))
+        finally:
+            image_mod._BUFFER_POOL.pop(self.SIZE, None)

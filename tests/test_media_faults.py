@@ -15,6 +15,8 @@ write queues at once only removes state a whole-machine cut could also
 have removed.
 """
 
+import weakref
+
 import pytest
 from helpers import reference_digest
 
@@ -273,15 +275,57 @@ class TestSilentAccounting:
         assert "silent" in sweep.render()
 
 
+#: image -> the durable lines ever written in it, kept beside the
+#: image's own bookkeeping by :func:`_record_touched_lines`.
+_TOUCHED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _record_touched_lines(patch) -> None:
+    """Keep a reference touched-line set for every image made from now
+    on: each persist and damage (tears included) adds the lines it
+    writes, and a durable copy starts from its source's set."""
+    make, persist, damage, copy = (
+        MemoryImage.__init__, MemoryImage.persist, MemoryImage.damage,
+        MemoryImage.durable_copy,
+    )
+
+    def lines(addr, size):
+        return range(addr & -LINE, addr + size, LINE)
+
+    def init(image, *args, **kwargs):
+        make(image, *args, **kwargs)
+        _TOUCHED[image] = set()
+
+    def persisted(image, addr, data):
+        persist(image, addr, data)
+        _TOUCHED[image].update(lines(addr, len(data)))
+
+    def damaged(image, addr, data):
+        changed = damage(image, addr, data)
+        _TOUCHED[image].update(lines(addr, len(data)))
+        return changed
+
+    def copied(image):
+        dup = copy(image)
+        _TOUCHED[dup] = set(_TOUCHED[image])
+        return dup
+
+    patch.setattr(MemoryImage, "__init__", init)
+    patch.setattr(MemoryImage, "persist", persisted)
+    patch.setattr(MemoryImage, "damage", damaged)
+    patch.setattr(MemoryImage, "durable_copy", copied)
+
+
 def _full_walk_scrub(image, layout):
     """Reference media scrub: verify every touched line, count per line.
 
-    Walks a fresh sort of the touched set, not the image's memoized view.
+    Walks a sort of the reference touched-line set, not the image's
+    page masks or memoized view.
     """
     counts = [0] * layout.num_controllers
     bad = []
     if image.line_checksums:
-        for base in sorted(image._dur_touched):
+        for base in sorted(_TOUCHED[image]):
             counts[layout.controller_of(base)] += 1
             if not image.verify_line(base):
                 bad.append(base)
@@ -293,9 +337,9 @@ _memoized_digest = MemoryImage.durable_digest
 
 def _fresh_digest(image, ranges=None):
     """Reference whole-image digest: recomputed on every call, over a
-    fresh sort of the touched set."""
+    sort of the reference touched-line set."""
     if ranges is None:
-        return reference_digest(image, sorted(image._dur_touched))
+        return reference_digest(image, sorted(_TOUCHED[image]))
     return _memoized_digest(image, ranges)
 
 
@@ -304,11 +348,11 @@ class TestIncrementalScrubDifferential:
 
     Every default model on base, atom-opt and redo, with the checksum
     plane and a crash storm, is run twice: as shipped, and with the
-    scrub replaced by a full walk over the touched lines (per-line
-    ``controller_of``, ``verify_line`` on every line) and the digest
-    recomputed on every call.  Storm passes interrupted over torn or
-    rotten lines, the fixpoint probe and the idempotence check all
-    compare what the shipped code skips recomputing.
+    scrub replaced by a full walk over a reference set of the touched
+    lines (per-line ``controller_of``, ``verify_line`` on every line)
+    and the digest recomputed on every call.  Storm passes interrupted
+    over torn or rotten lines, the fixpoint probe and the idempotence
+    check all compare what the shipped code skips recomputing.
     """
 
     @pytest.fixture(autouse=True)
@@ -327,6 +371,7 @@ class TestIncrementalScrubDifferential:
         shipped = [execute_fault_point(spec) for spec in specs]
         campaign_mod._drop_live_run()
         with monkeypatch.context() as patch:
+            _record_touched_lines(patch)
             patch.setattr(recovery, "scrub_media", _full_walk_scrub)
             patch.setattr(redo, "scrub_media", _full_walk_scrub)
             patch.setattr(MemoryImage, "durable_digest", _fresh_digest)

@@ -92,7 +92,8 @@ def live_state(system) -> dict:
     state = {
         "volatile": hashlib.sha256(image._vol_view).hexdigest(),
         "durable": hashlib.sha256(image._dur_view).hexdigest(),
-        "touched": (set(image._vol_touched), set(image._dur_touched)),
+        "touched": (set(image._vol_pages), dict(image._dur_lines),
+                    image._vol_mirrors_durable),
         "clock": (system.engine.now, system.engine.pending()),
         "adr": [adr.serialize(mc.logm.aus, mc.logm.cfg.buckets_per_controller)
                 .ljust(system.layout.adr_block_bytes, b"\0")
