@@ -107,6 +107,10 @@ class LogManager:
         ]
         self.buckets = BucketAllocator(cfg)
         #: Entries collated per record (constant per design config).
+        #: Collation requires co-location: without it the data-write
+        #: gate at the data's controller cannot force this controller's
+        #: header out, so open records could linger forever — every
+        #: entry closes its own record instead.
         self._close_thresh = (
             cfg.entries_per_record if cfg.collation and cfg.colocate else 1
         )
@@ -268,17 +272,6 @@ class LogManager:
         )
         if len(record.addresses) >= self._close_thresh:
             self._close_record(state, record)
-
-    def _close_threshold(self) -> int:
-        """Entries collated per record.
-
-        Collation requires co-location: without it the data-write gate
-        at the data's controller cannot force this controller's header
-        out, so open records could linger forever — every entry closes
-        its own record instead.  Constant per config, cached as
-        ``_close_thresh`` for the append fast path.
-        """
-        return self._close_thresh
 
     def _open_record_with_space(self, state: AusState) -> OpenRecord | None:
         """Current open record, opening a fresh one when needed."""
@@ -444,10 +437,6 @@ class LogManager:
                 )
 
     # -- crash support ------------------------------------------------------------------
-
-    def locked_lines(self) -> list[int]:
-        """Lines whose undo entries are not yet durable (test aid)."""
-        return list(self._locks)
 
     def posted_log_in_flight(self) -> bool:
         """True while any log entry write is still on its way to NVM.

@@ -32,6 +32,15 @@ nothing but the durable NVM image.  It proceeds per memory controller:
    argued in section III-B.
 4. Clear the ADR block so a second recovery is a no-op.
 
+Every durable write of a pass goes through one :class:`PassWrites`,
+which charges the crash-storm write budget and keeps the bytes each
+written line held before the pass.  The report's ``lines_changed``
+compares them with the lines after it, so "a second pass changed
+nothing" is read from the pass's own writes, not from a whole-image
+digest — the pre-image idea of the undo log itself, applied to
+recovery.  REDO's replay (:mod:`repro.atom.redo`) writes through it
+too.
+
 The routine is deliberately conservative: it may undo lines whose new
 values never persisted (writing the value they already hold), which
 costs recovery time but not correctness — the paper makes the same
@@ -88,6 +97,10 @@ class RecoveryReport:
     #: The pass ran out of its write budget (crash-storm mode) before
     #: finishing; counters describe the partial work done.
     interrupted: bool = False
+    #: Durable lines the pass left different from before it
+    #: (:meth:`PassWrites.lines_changed`); 0 iff the pass was a no-op.
+    #: Merged reports sum their passes' counts.
+    lines_changed: int = 0
     #: Recovery-time analytics for the pass.
     cost: RecoveryCost = field(default_factory=RecoveryCost)
 
@@ -100,28 +113,58 @@ class RecoveryReport:
         self.adr_invalid += other.adr_invalid
         self.corrupt_lines.extend(other.corrupt_lines)
         self.interrupted = self.interrupted or other.interrupted
+        self.lines_changed += other.lines_changed
         self.cost.merge(other.cost)
 
 
-class _RecoveryInterrupted(Exception):
-    """Internal: the pass's write budget hit zero (crash-storm mode)."""
+class RecoveryInterrupted(Exception):
+    """A pass's write budget hit zero (crash-storm mode)."""
 
 
-def _budget_persist(image: MemoryImage, budget: dict | None,
-                    addr: int, data: bytes) -> None:
-    """Persist one line, charging (and enforcing) the write budget.
+class PassWrites:
+    """The durable writes of one recovery pass, with their pre-images.
 
     ``budget`` is ``None`` on a normal pass — the common case pays one
-    comparison.  In crash-storm mode it is a mutable ``{"left": n}``
-    cell shared by the whole pass: the n+1-th durable write raises
-    :class:`_RecoveryInterrupted`, modelling power dying *mid-recovery*
-    after exactly n line writes reached the cells.
+    comparison.  In crash-storm mode it caps the pass's writes: the
+    n+1-th :meth:`persist` raises :class:`RecoveryInterrupted`,
+    modelling power dying *mid-recovery* after exactly n writes reached
+    the cells.
     """
-    if budget is not None:
-        if budget["left"] <= 0:
-            raise _RecoveryInterrupted
-        budget["left"] -= 1
-    image.persist(addr, data)
+
+    __slots__ = ("image", "left", "pre_images")
+
+    def __init__(self, image: MemoryImage, budget: int | None = None):
+        self.image = image
+        #: Writes the budget still allows (None: unbudgeted).
+        self.left = budget
+        #: line base -> the line's durable bytes before the pass first
+        #: wrote it.
+        self.pre_images: dict[int, bytes] = {}
+
+    def persist(self, addr: int, data: bytes) -> None:
+        """Persist ``data`` at ``addr``, charging one write."""
+        if self.left is not None:
+            if self.left <= 0:
+                raise RecoveryInterrupted
+            self.left -= 1
+        image, pre = self.image, self.pre_images
+        base, end = addr & -CACHE_LINE_BYTES, addr + len(data)
+        while base < end:
+            if base not in pre:
+                pre[base] = image.durable_line(base)
+            base += CACHE_LINE_BYTES
+        image.persist(addr, data)
+
+    def lines_changed(self) -> int:
+        """Written lines whose bytes now differ from their pre-image.
+
+        Net: a line written and then restored counts as unchanged, as
+        a compare of whole-image digests before and after the pass
+        would.  Every durable change of a pass is one of its writes, so
+        0 means the pass left the image byte-identical.
+        """
+        line = self.image.durable_line
+        return sum(line(base) != old for base, old in self.pre_images.items())
 
 
 def scrub_media(image: MemoryImage,
@@ -136,13 +179,14 @@ def scrub_media(image: MemoryImage,
     detectable fault into a silent one.  Only the image's
     checksum-suspect lines are verified (:meth:`MemoryImage.scrub`), as
     every other line verifies by construction, but the modelled read
-    traffic charges every touched line, counted per controller over the
-    image's memoized sorted view (so a storm's passes share one sort
-    until a pass adds a line).  No-op without the plane.
+    traffic charges every touched line, counted per controller from the
+    image's page masks (one popcount per page a single controller owns,
+    :meth:`AddressLayout.lines_per_controller`).  No-op without the
+    plane.
     """
     if not image.line_checksums:
         return [0] * layout.num_controllers, []
-    counts = layout.lines_per_controller(image.touched_durable_lines())
+    counts = layout.lines_per_controller(image.touched_page_masks())
     return counts, image.scrub()
 
 
@@ -170,7 +214,7 @@ def recover(image: MemoryImage, layout: AddressLayout,
     """
     if mem is None:
         mem = MemoryConfig()
-    budget = None if write_budget is None else {"left": int(write_budget)}
+    writes = PassWrites(image, write_budget)
     report = RecoveryReport()
     # Media scrub first (step 0), before any undo write can heal — and
     # thereby hide — damage.  Mismatches are grouped per controller so
@@ -183,23 +227,24 @@ def recover(image: MemoryImage, layout: AddressLayout,
         try:
             report.merge(
                 _recover_controller(
-                    image, layout, cfg, controller, mem,
-                    clear_adr=clear_adr, budget=budget,
+                    writes, layout, cfg, controller, mem,
+                    clear_adr=clear_adr,
                     scrub_lines=scrub_counts[controller],
                     scrub_bad=scrub_bad.get(controller, []),
                 )
             )
-        except _RecoveryInterrupted:
+        except RecoveryInterrupted:
             # The budget died mid-controller: this pass's remaining work
             # (including this controller's partial counters) is lost,
             # exactly as a real power cut would lose it.
             report.interrupted = True
             break
+    report.lines_changed = writes.lines_changed()
     return report
 
 
-def _clear_adr_block(image: MemoryImage, layout: AddressLayout,
-                     base: int, budget: dict | None) -> None:
+def _clear_adr_block(writes: PassWrites, layout: AddressLayout,
+                     base: int) -> None:
     """Zero one controller's ADR block, line by line under a budget.
 
     The unbudgeted path keeps the original single whole-block persist;
@@ -208,28 +253,27 @@ def _clear_adr_block(image: MemoryImage, layout: AddressLayout,
     fails validation (partial magic/checksum), reports ``adr_invalid``,
     and re-clears, which converges to the same zeroed block.
     """
-    if budget is None:
-        image.persist(base, bytes(layout.adr_block_bytes))
+    total = layout.adr_block_bytes  # line-aligned
+    if writes.left is None:
+        writes.persist(base, bytes(total))
         return
-    total = layout.adr_block_bytes
     zeros = bytes(CACHE_LINE_BYTES)
     for off in range(0, total, CACHE_LINE_BYTES):
-        chunk = min(CACHE_LINE_BYTES, total - off)
-        _budget_persist(image, budget, base + off, zeros[:chunk])
+        writes.persist(base + off, zeros)
 
 
 def _recover_controller(
-    image: MemoryImage,
+    writes: PassWrites,
     layout: AddressLayout,
     cfg: LogConfig,
     controller: int,
     mem: MemoryConfig,
     *,
     clear_adr: bool = True,
-    budget: dict | None = None,
     scrub_lines: int = 0,
     scrub_bad: list[int] | None = None,
 ) -> RecoveryReport:
+    image = writes.image
     report = RecoveryReport()
     ctl = ControllerCost(
         controller=controller,
@@ -255,7 +299,7 @@ def _recover_controller(
             range(base, base + layout.adr_block_bytes, CACHE_LINE_BYTES)
         )
         if clear_adr:
-            _clear_adr_block(image, layout, base, budget)
+            _clear_adr_block(writes, layout, base)
             ctl.clear_writes = ctl.adr_lines
         report.cost.absorb(ctl.finalize(mem))
         return report
@@ -266,7 +310,7 @@ def _recover_controller(
             # flushed" while stale tail lines survive.  Finish the
             # clear, so a crash-storm converges to the same all-zero
             # block an uninterrupted pass leaves behind.
-            _clear_adr_block(image, layout, base, budget)
+            _clear_adr_block(writes, layout, base)
             ctl.clear_writes = ctl.adr_lines
         report.cost.absorb(ctl.finalize(mem))
         return report
@@ -285,8 +329,8 @@ def _recover_controller(
             report.updates_rolled_back += 1
             # Undo newest-first: descending sequence order.
             for rec_addr, header in sorted(records, key=lambda r: -r[1].seq):
-                if _undo_record(image, layout, rec_addr, header, ctl,
-                                report, budget):
+                if _undo_record(writes, layout, rec_addr, header, ctl,
+                                report):
                     contained = True
                 report.records_undone += 1
                 report.entries_undone += header.count
@@ -302,7 +346,7 @@ def _recover_controller(
             ctl.aus_contained += 1
     if clear_adr:
         # Recovery complete: clear the ADR block (second recovery = no-op).
-        _clear_adr_block(image, layout, base, budget)
+        _clear_adr_block(writes, layout, base)
         ctl.clear_writes = ctl.adr_lines
     ctl.records_undone = report.records_undone
     report.cost.absorb(ctl.finalize(mem))
@@ -397,13 +441,12 @@ def _read_header(
 
 
 def _undo_record(
-    image: MemoryImage,
+    writes: PassWrites,
     layout: AddressLayout,
     rec_addr: RecordAddress,
     header: RecordHeader,
     ctl: ControllerCost,
     report: RecoveryReport,
-    budget: dict | None = None,
 ) -> bool:
     """Write each entry's old value back over its data line.
 
@@ -418,6 +461,7 @@ def _undo_record(
     stays contained to its AUS) and flagged; returns True iff any entry
     was skipped this way.
     """
+    image = writes.image
     skipped = False
     for slot in range(header.count - 1, -1, -1):
         data_addr = header.addresses[slot]
@@ -433,5 +477,5 @@ def _undo_record(
             skipped = True
             continue
         ctl.undo_writes += 1
-        _budget_persist(image, budget, data_addr, payload)
+        writes.persist(data_addr, payload)
     return skipped

@@ -31,7 +31,8 @@ from collections import defaultdict, deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.atom.recovery import RecoveryReport, scrub_media
+from repro.atom.recovery import (PassWrites, RecoveryInterrupted,
+                                 RecoveryReport, scrub_media)
 from repro.common.stats import Stats
 from repro.common.units import CACHE_LINE_BYTES, line_of
 from repro.faults.analytics import line_read_cycles, redo_replay_cost
@@ -480,33 +481,25 @@ class RedoManager:
         prefix = 0
         while prefix < len(order) and order[prefix] in applied:
             prefix += 1
-        budget = write_budget
-        replayed = 0
-        entries = 0
-        log_lines = 0
-        to_mark: list[int] = []
-        data_lines: set[int] = set()
-        for txn_id in order[prefix:]:
-            words = self._durable_commits[txn_id]
-            for addr, value in words:
-                if budget is not None:
-                    if budget <= 0:
-                        report.interrupted = True
-                        break
-                    budget -= 1
-                image.persist(addr, value)
-                data_lines.add(line_of(addr))
-            if report.interrupted:
-                break
-            entries += len(words)
-            log_lines += -(-len(words) // self.entries_per_line) + 1
-            to_mark.append(txn_id)
-            replayed += 1
-        if not report.interrupted:
-            applied.update(to_mark)
+        writes = PassWrites(image, write_budget)
+        replayed = entries = log_lines = 0
+        try:
+            for txn_id in order[prefix:]:
+                words = self._durable_commits[txn_id]
+                for addr, value in words:
+                    writes.persist(addr, value)
+                entries += len(words)
+                log_lines += -(-len(words) // self.entries_per_line) + 1
+                replayed += 1
+        except RecoveryInterrupted:
+            report.interrupted = True
+        else:
+            applied.update(order[prefix:])
+        report.lines_changed = writes.lines_changed()
         cost = redo_replay_cost(
             self.system.config.memory, replayed=replayed, entries=entries,
-            log_lines_read=log_lines, data_lines_written=len(data_lines),
+            log_lines_read=log_lines,
+            data_lines_written=len(writes.pre_images),
         )
         if scrub_lines:
             mem = self.system.config.memory

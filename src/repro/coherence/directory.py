@@ -231,10 +231,6 @@ class SharedL2:
         self._use_clock += 1
         entry.last_use = self._use_clock
 
-    def home_tile(self, line: int) -> int:
-        """Tile of the line's home bank."""
-        return self.topology.l2_home_tile(line)
-
     # -- transaction serialization ------------------------------------------------
 
     def _with_line(self, line: int, fn: Callable[[], None]) -> None:

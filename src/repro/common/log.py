@@ -52,10 +52,6 @@ def set_level(level: int | str) -> None:
     _level = int(level)
 
 
-def get_level() -> int:
-    return _level
-
-
 class Logger:
     """Named emitter; create via :func:`get_logger`."""
 

@@ -14,6 +14,9 @@ MB = 1024 * KB
 CACHE_LINE_BYTES = 64
 CACHE_LINE_SHIFT = 6
 WORD_BYTES = 8
+#: The memory image's touched-line granule: a 4 KB page of 64 lines,
+#: one bit per line in the page's line mask (``mem/image.py``).
+PAGE_SHIFT = 12
 
 #: Core clock frequency from Table I (2 GHz).
 CYCLES_PER_SECOND = 2_000_000_000

@@ -14,8 +14,7 @@ Draining is in order.  The head entry is handed to the active design
 policy, which decides what must happen before the store may retire:
 nothing (NON-ATOMIC, or no logging needed), a posted-log ack round trip
 (ATOM), a durable log write (BASE), or a write-combining append (REDO).
-Consecutive cheap entries are drained in batches to keep the event count
-manageable.
+Each entry drains and retires on its own events, head first.
 """
 
 from __future__ import annotations
@@ -162,11 +161,6 @@ class StoreQueue:
         else:
             self._draining = False
             self._notify_empty()
-
-    def _retire(self, entry: StoreEntry) -> None:
-        """In-order retire of the head entry (kept for tests)."""
-        assert self._entries[0] is entry, "stores must retire in order"
-        self._retire_head()
 
     def _notify_empty(self) -> None:
         if not self._empty_waiters:

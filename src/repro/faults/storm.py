@@ -16,8 +16,10 @@ with per-attempt ``write_budget`` values derived from a seed
 geometrically with the attempt number, so termination is guaranteed
 long before ``max_attempts``; an unbudgeted backstop pass runs if not.
 The final :class:`StormReport` carries the convergence verdict:
-``fixpoint`` is True iff one more *full* recovery pass leaves the sparse
-durable digest unchanged.
+``fixpoint`` is True iff one more *full* recovery pass changes no
+durable line — read from that pass's own writes
+(``RecoveryReport.lines_changed``: each written line against the bytes
+it held before the pass), not from a digest of the whole image.
 
 Budget derivation is SHA-256 based (never ``hash()``/``random``): the
 same seed produces the same storm in every interpreter and pool worker,
@@ -55,10 +57,8 @@ class StormReport:
     interrupted_attempts: int = 0
     #: The per-attempt write budgets, in order.
     budgets: list[int] = field(default_factory=list)
-    #: Sparse durable digest after the storm converged.
-    digest: str = ""
-    #: One more full recovery pass changed nothing — recovery reached a
-    #: fixpoint despite the interruptions.
+    #: One more full recovery pass changed no durable line — recovery
+    #: reached a fixpoint despite the interruptions.
     fixpoint: bool = False
     #: Merged :class:`~repro.atom.recovery.RecoveryReport` over every
     #: attempt (scrub/undo counters accumulate across passes).
@@ -70,7 +70,6 @@ class StormReport:
             "attempts": self.attempts,
             "interrupted_attempts": self.interrupted_attempts,
             "budgets": list(self.budgets),
-            "digest": self.digest,
             "fixpoint": self.fixpoint,
         }
 
@@ -85,9 +84,9 @@ def storm_recover(system, cut=None, *, seed: int = 0,
     ``system.crash()``.  The merged report of every attempt lands on
     ``StormReport.report`` (its ``interrupted`` flag reflects only the
     *final* attempt, so a converged storm reads as a completed
-    recovery).
+    recovery).  ``StormReport.fixpoint`` comes from one more full pass
+    after the storm: its report's ``lines_changed`` must be 0.
     """
-    image = system.image if cut is None else cut.image
     storm = StormReport(seed=seed)
     merged = None
     report = None
@@ -110,11 +109,9 @@ def storm_recover(system, cut=None, *, seed: int = 0,
         storm.budgets.append(0)
         report = system.recover(cut)
         merged.merge(report)
-    storm.digest = image.durable_digest()
     # Convergence probe: a further full pass must be a no-op.
     probe = system.recover(cut)
-    storm.fixpoint = (not probe.interrupted
-                      and image.durable_digest() == storm.digest)
+    storm.fixpoint = not probe.interrupted and probe.lines_changed == 0
     merged.interrupted = report.interrupted
     storm.report = merged
     return storm

@@ -45,22 +45,22 @@ insertion and a single-line persist one dict lookup (and a store when
 its bit is new), and the bookkeeping of a machine that writes
 megabytes is a few thousand page entries, not one int object per line.
 
-Every caller that reads touched durable lines one by one (the scrub's
-per-controller counts, bit-rot's walk, the digest) reads them in
-address order from one memoized tuple (:meth:`touched_durable_lines`),
-rebuilt from the masks only after a persist or damage set a new bit,
-so the scrub passes, digests and bit-rot walks of one image version
-share a single build.  The plane operations instead walk runs of
-pages: the store pages as whole pages (:func:`_page_runs`), the
-durable pages each from its first to its last touched line
-(:func:`_line_runs`), so a point that touches a few lines per page
-moves a few lines, not whole pages.  Recycling zeroes the volatile
-plane over the durable runs only if it took them from the durable
-plane, so neither plane's zeroing faults in a page that plane did not
-write.  The whole-image digest is also memoized: every durable-plane
-mutation drops the memo, so re-hashing an image no write has reached
-since its last digest (a recovery pass that found nothing to do)
-costs nothing.
+Nothing on a recovered point's path reads touched durable lines one by
+one.  The media scrub counts them per controller from the masks, one
+popcount per run of a page one controller owns
+(:meth:`touched_page_masks`,
+:meth:`~repro.mem.layout.AddressLayout.lines_per_controller`), and
+recovery judges its own passes by the lines it wrote
+(``RecoveryReport.lines_changed``), not by a whole-image digest.  Only
+bit-rot's walk and the digest (recovered-image pins and tests) build
+the sorted tuple (:meth:`touched_durable_lines`), afresh on each call.
+The plane operations walk runs of pages: the store pages as whole
+pages (:func:`_page_runs`), the durable pages each from its first to
+its last touched line (:func:`_line_runs`), so a point that touches a
+few lines per page moves a few lines, not whole pages.  Recycling
+zeroes the volatile plane over the durable runs only if it took them
+from the durable plane, so neither plane's zeroing faults in a page
+that plane did not write.
 
 Each plane is an anonymous private memory mapping rather than a
 ``bytearray``: the kernel supplies zero pages on first touch, so a plane
@@ -97,16 +97,15 @@ import zlib
 from itertools import compress
 
 from repro.common.errors import MemoryError_
-from repro.common.units import CACHE_LINE_BYTES, CACHE_LINE_SHIFT
+from repro.common.units import CACHE_LINE_BYTES, CACHE_LINE_SHIFT, PAGE_SHIFT
 
 _U64 = struct.Struct("<Q")
 _LINE_MASK = ~(CACHE_LINE_BYTES - 1)
 _ZERO_LINE = bytes(CACHE_LINE_BYTES)
 #: Touched-line bookkeeping granule: a 4 KB page of 64 lines, one bit
 #: per line in a durable page's mask (see module docstring).
-_PAGE_SHIFT = 12
-_PAGE_BYTES = 1 << _PAGE_SHIFT
-_PAGE_LINE_BITS = (1 << (_PAGE_SHIFT - CACHE_LINE_SHIFT)) - 1
+_PAGE_BYTES = 1 << PAGE_SHIFT
+_PAGE_LINE_BITS = (1 << (PAGE_SHIFT - CACHE_LINE_SHIFT)) - 1
 #: Maps a page mask's binary digits to the 0/1 bytes that select its
 #: lines (see :meth:`MemoryImage.touched_durable_lines`).
 _BIT_BYTES = str.maketrans("01", "\x00\x01")
@@ -147,11 +146,11 @@ def _page_runs(pages, limit: int) -> list[tuple[int, int]]:
     for page in sorted(pages):
         if page != end:
             if end is not None:
-                runs.append((start << _PAGE_SHIFT, end << _PAGE_SHIFT))
+                runs.append((start << PAGE_SHIFT, end << PAGE_SHIFT))
             start = page
         end = page + 1
     if end is not None:
-        runs.append((start << _PAGE_SHIFT, min(end << _PAGE_SHIFT, limit)))
+        runs.append((start << PAGE_SHIFT, min(end << PAGE_SHIFT, limit)))
     return runs
 
 
@@ -164,7 +163,7 @@ def _line_runs(masks: dict[int, int]) -> list[tuple[int, int]]:
     start = end = None
     for page in sorted(masks):
         mask = masks[page]
-        base = page << _PAGE_SHIFT
+        base = page << PAGE_SHIFT
         first = base + (((mask & -mask).bit_length() - 1) << CACHE_LINE_SHIFT)
         if first != end:
             if end is not None:
@@ -176,23 +175,17 @@ def _line_runs(masks: dict[int, int]) -> list[tuple[int, int]]:
     return runs
 
 
-def _mark_lines(masks: dict[int, int], first: int, last: int) -> bool:
+def _mark_lines(masks: dict[int, int], first: int, last: int) -> None:
     """Set the bits of lines ``first`` to ``last`` (line bases) in the
-    page masks ``masks``; True iff a bit was not set before."""
-    new = False
-    page, last_page = first >> _PAGE_SHIFT, last >> _PAGE_SHIFT
+    page masks ``masks``."""
+    page, last_page = first >> PAGE_SHIFT, last >> PAGE_SHIFT
     low = (first >> CACHE_LINE_SHIFT) & _PAGE_LINE_BITS
     high = (last >> CACHE_LINE_SHIFT) & _PAGE_LINE_BITS
     while page <= last_page:
         top = high if page == last_page else _PAGE_LINE_BITS
-        bits = (2 << top) - (1 << low)
-        mask = masks.get(page, 0)
-        if bits & ~mask:
-            masks[page] = mask | bits
-            new = True
+        masks[page] = masks.get(page, 0) | ((2 << top) - (1 << low))
         page += 1
         low = 0
-    return new
 
 
 def _zero_runs(view: memoryview, runs) -> None:
@@ -225,9 +218,6 @@ class MemoryImage:
         #: write-path persist: with the plane on, the only lines that
         #: can fail :meth:`verify_line` (see module docstring).
         self._suspect: set[int] = set()
-        #: Memoized whole-image :meth:`durable_digest`; every mutation
-        #: of the durable plane resets it to None.
-        self._digest: str | None = None
         pooled = _BUFFER_POOL.get(size_bytes)
         if pooled:
             self._volatile, self._durable = pooled.pop()
@@ -250,9 +240,6 @@ class MemoryImage:
         #: page -> 64-bit mask of the durable lines ever written in it:
         #: any line whose bit is clear is all-zero in the durable plane.
         self._dur_lines: dict[int, int] = {}
-        #: Memoized :meth:`touched_durable_lines`; None once a persist
-        #: or damage has set a new bit.
-        self._view: tuple[int, ...] | None = ()
 
     # -- bounds -----------------------------------------------------------
 
@@ -283,8 +270,8 @@ class MemoryImage:
             self._check(addr, size)
         self._volatile[addr : addr + size] = data
         # Inline single-page touch (word stores dominate).
-        first = addr >> _PAGE_SHIFT
-        last = (addr + size - 1) >> _PAGE_SHIFT
+        first = addr >> PAGE_SHIFT
+        last = (addr + size - 1) >> PAGE_SHIFT
         if first == last:
             self._vol_pages.add(first)
         else:
@@ -299,8 +286,8 @@ class MemoryImage:
         """Store an 8-byte little-endian word into the volatile image."""
         self._check(addr, 8)
         _U64.pack_into(self._volatile, addr, value)
-        self._vol_pages.update((addr >> _PAGE_SHIFT,
-                                (addr + 7) >> _PAGE_SHIFT))
+        self._vol_pages.update((addr >> PAGE_SHIFT,
+                                (addr + 7) >> PAGE_SHIFT))
 
     def volatile_line(self, addr: int) -> bytes:
         """Snapshot the 64 B cache line containing ``addr`` (latest value).
@@ -342,24 +329,21 @@ class MemoryImage:
         if addr < 0 or addr + size > self.size_bytes:
             self._check(addr, size)
         self._durable[addr : addr + size] = data
-        self._digest = None
         first = addr & _LINE_MASK
         last = (addr + size - 1) & _LINE_MASK
         if first == last:
-            page = first >> _PAGE_SHIFT
+            page = first >> PAGE_SHIFT
             bit = 1 << ((first >> CACHE_LINE_SHIFT) & _PAGE_LINE_BITS)
             mask = self._dur_lines.get(page, 0)
             if not mask & bit:
                 self._dur_lines[page] = mask | bit
-                self._view = None
             if self.line_checksums:
                 self._line_crc[first] = zlib.crc32(
                     self._dur_view[first : first + CACHE_LINE_BYTES]
                 )
                 self._suspect.discard(first)
         else:
-            if _mark_lines(self._dur_lines, first, last):
-                self._view = None
+            _mark_lines(self._dur_lines, first, last)
             if self.line_checksums:
                 lines = range(first, last + 1, CACHE_LINE_BYTES)
                 crc = zlib.crc32
@@ -403,11 +387,9 @@ class MemoryImage:
             self._check(addr, size)
         changed = self._dur_view[addr : addr + size] != data
         self._durable[addr : addr + size] = data
-        self._digest = None
         first = addr & _LINE_MASK
         last = (addr + size - 1) & _LINE_MASK
-        if _mark_lines(self._dur_lines, first, last):
-            self._view = None
+        _mark_lines(self._dur_lines, first, last)
         if self.line_checksums:
             # Even an unchanged line is suspect: one only a damage path
             # ever wrote has no checksum to verify against.
@@ -436,31 +418,37 @@ class MemoryImage:
         """Sorted base addresses of every durable line ever written.
 
         Damage paths register their lines here too, so this is all
-        durable state: the lines a media scrub reads (its modelled
-        traffic charges each one), of which :meth:`scrub` verifies only
-        the checksum-suspect ones.  Memoized: the tuple is rebuilt from
-        the page masks only after a persist or damage set a new bit.
+        durable state.  Built from the page masks on each call, for the
+        whole-image digest and bit-rot's walk; the media scrub counts
+        its lines from the masks (:meth:`touched_page_masks`) instead.
         """
-        if self._view is None:
-            lines = []
-            masks = self._dur_lines
-            for page in sorted(masks):
-                mask = masks[page]
-                base = page << _PAGE_SHIFT
-                if not mask & (mask - 1):  # one line
-                    lines.append(base + ((mask.bit_length() - 1)
-                                         << CACHE_LINE_SHIFT))
-                    continue
-                # The mask's bits, lowest first, as 0/1 bytes that
-                # select the page's lines.
-                bits = bin(mask)[:1:-1].translate(_BIT_BYTES).encode()
-                lines.extend(compress(
-                    range(base, base + (len(bits) << CACHE_LINE_SHIFT),
-                          CACHE_LINE_BYTES),
-                    bits,
-                ))
-            self._view = tuple(lines)
-        return self._view
+        lines = []
+        masks = self._dur_lines
+        for page in sorted(masks):
+            mask = masks[page]
+            base = page << PAGE_SHIFT
+            if not mask & (mask - 1):  # one line
+                lines.append(base + ((mask.bit_length() - 1)
+                                     << CACHE_LINE_SHIFT))
+                continue
+            # The mask's bits, lowest first, as 0/1 bytes that select
+            # the page's lines.
+            bits = bin(mask)[:1:-1].translate(_BIT_BYTES).encode()
+            lines.extend(compress(
+                range(base, base + (len(bits) << CACHE_LINE_SHIFT),
+                      CACHE_LINE_BYTES),
+                bits,
+            ))
+        return tuple(lines)
+
+    def touched_page_masks(self) -> dict[int, int]:
+        """The durable plane's touched lines as page masks.
+
+        Maps each touched page number (``addr >> PAGE_SHIFT``) to the
+        64-bit mask of its lines ever written, bit ``i`` for the page's
+        line ``i``: the live map, for reading only.
+        """
+        return self._dur_lines
 
     def scrub(self) -> list[int]:
         """Sorted base addresses of the touched lines failing verification.
@@ -495,9 +483,10 @@ class MemoryImage:
         """SHA-256 hex digest of durable contents.
 
         ``ranges`` is an iterable of ``(addr, size)`` pairs; ``None``
-        digests the whole durable image (used to check that re-running
-        recovery is a no-op).  Range boundaries are hashed along with
-        the bytes so two different layouts cannot collide.
+        digests the whole durable image (the recovered-image pins and
+        the tests' oracle for recovery's own no-op verdict,
+        ``RecoveryReport.lines_changed``).  Range boundaries are hashed
+        along with the bytes so two different layouts cannot collide.
 
         The whole-image digest hashes the sparse encoding — image size
         plus every *non-zero* touched line with its address — instead of
@@ -505,29 +494,21 @@ class MemoryImage:
         their full durable contents are byte-identical (untouched lines
         are all-zero by the touched-set invariant, and touched-but-zero
         lines are excluded so re-zeroing a line cannot distinguish it
-        from one never written).  It is memoized until the next write
-        to the durable plane.
+        from one never written).
         """
-        if ranges is None:
-            if self._digest is None:
-                self._digest = self._sparse_digest()
-            return self._digest
         digest = hashlib.sha256()
-        for addr, size in ranges:
-            self._check(addr, size)
-            digest.update(_U64.pack(addr))
-            digest.update(_U64.pack(size))
-            digest.update(self._dur_view[addr : addr + size])
-        return digest.hexdigest()
-
-    def _sparse_digest(self) -> str:
-        """The whole-image digest, computed (see :meth:`durable_digest`)."""
-        digest = hashlib.sha256()
-        dur = self._dur_view
         update = digest.update
-        update(b"sparse-durable-v1")
-        update(_U64.pack(self.size_bytes))
         pack = _U64.pack
+        dur = self._dur_view
+        if ranges is not None:
+            for addr, size in ranges:
+                self._check(addr, size)
+                update(pack(addr))
+                update(pack(size))
+                update(dur[addr : addr + size])
+            return digest.hexdigest()
+        update(b"sparse-durable-v1")
+        update(pack(self.size_bytes))
         for base in self.touched_durable_lines():
             chunk = dur[base : base + CACHE_LINE_BYTES]
             if chunk != _ZERO_LINE:
@@ -560,9 +541,8 @@ class MemoryImage:
         non-destructive power cut (``System.power_cut``).  The checksum
         plane and its suspect lines come along.  The buffers are drawn
         from the pool and the runs of durable pages are copied into
-        both; the copy inherits this image's page masks and, if built,
-        its :meth:`touched_durable_lines` tuple.  The caller owns the
-        copy and may :meth:`recycle` it.
+        both; the copy inherits this image's page masks.  The caller
+        owns the copy and may :meth:`recycle` it.
         """
         copy = MemoryImage(self.size_bytes, line_checksums=self.line_checksums)
         src = self._dur_view
@@ -573,7 +553,6 @@ class MemoryImage:
             dur[start:end] = chunk
         copy._dur_lines = dict(self._dur_lines)
         copy._vol_mirrors_durable = True
-        copy._view = self._view
         copy._line_crc = dict(self._line_crc)
         copy._suspect = set(self._suspect)
         return copy
@@ -608,10 +587,8 @@ class MemoryImage:
         self._vol_pages = set()
         self._vol_mirrors_durable = False
         self._dur_lines = {}
-        self._view = ()
         self._line_crc = {}
         self._suspect = set()
-        self._digest = None
         pooled.append((self._volatile, self._durable))
 
     def __repr__(self) -> str:

@@ -24,12 +24,12 @@ on it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigError, MemoryError_
-from repro.common.units import CACHE_LINE_BYTES, align_up
+from repro.common.units import (CACHE_LINE_BYTES, CACHE_LINE_SHIFT,
+                                PAGE_SHIFT, align_up)
 from repro.config import LogConfig, MemoryConfig
 
 
@@ -85,34 +85,46 @@ class AddressLayout:
             return (addr - self.log_base) // self.log_region_bytes
         raise MemoryError_(f"address {addr:#x} outside physical space")
 
-    def lines_per_controller(self, lines: Sequence[int]) -> list[int]:
-        """How many of the sorted addresses ``lines`` each controller owns.
+    def lines_per_controller(self, masks: Mapping[int, int]) -> list[int]:
+        """How many lines of the page masks ``masks`` each controller owns.
 
-        Equal to counting ``controller_of`` over ``lines``, but by
-        address arithmetic over runs: a run of data lines within one
-        interleave page belongs to that page's controller, and each log
-        region is one contiguous run.  The cost grows with the touched
-        pages, not the touched lines.
+        ``masks`` maps a page number (``addr >> PAGE_SHIFT``) to the
+        mask of its lines, bit ``i`` for the page's line ``i`` — the
+        memory image's touched-line form.  Equal to counting
+        ``controller_of`` over the lines, but one ``int.bit_count()``
+        per run of a page that one controller owns: an interleave, the
+        data/log or a log-region boundary inside a page splits it there,
+        whatever its alignment.  The cost grows with the touched pages,
+        not the touched lines.
         """
-        if lines and lines[0] < 0:
-            raise MemoryError_(f"address {lines[0]:#x} outside physical space")
         n = self.num_controllers
-        counts = [0] * n
         step = self.interleave_bytes
-        end = bisect_left(lines, self.data_bytes)
-        i = 0
-        while i < end:
-            page = lines[i] // step
-            j = bisect_left(lines, (page + 1) * step, i, end)
-            counts[page % n] += j - i
-            i = j
-        for controller in range(n):
-            region_end = self.log_base + (controller + 1) * self.log_region_bytes
-            i, end = end, bisect_left(lines, region_end, end)
-            counts[controller] += end - i
-        if end < len(lines):
-            raise MemoryError_(
-                f"address {lines[end]:#x} outside physical space")
+        data_end, log_base = self.data_bytes, self.log_base
+        region, total = self.log_region_bytes, self.total_bytes
+        counts = [0] * n
+        for page, mask in masks.items():
+            addr = page << PAGE_SHIFT
+            while mask:
+                if 0 <= addr < data_end:
+                    # The data space is whole granules: no clamp.
+                    granule = addr // step
+                    owner = granule % n
+                    end = (granule + 1) * step
+                elif log_base <= addr < total:
+                    owner = (addr - log_base) // region
+                    end = log_base + (owner + 1) * region
+                else:
+                    first = addr + (((mask & -mask).bit_length() - 1)
+                                    << CACHE_LINE_SHIFT)
+                    raise MemoryError_(
+                        f"address {first:#x} outside physical space")
+                lines = (end - addr) >> CACHE_LINE_SHIFT
+                if lines >= 64:  # the run holds the rest of the page
+                    counts[owner] += mask.bit_count()
+                    break
+                counts[owner] += (mask & ((1 << lines) - 1)).bit_count()
+                mask >>= lines
+                addr = end
         return counts
 
     # -- log space ------------------------------------------------------------

@@ -71,13 +71,6 @@ class SimResult:
         """Committed transactions per second at the 2 GHz clock."""
         return throughput_per_second(self.txns_committed, self.cycles)
 
-    @property
-    def source_log_fraction(self) -> float:
-        """Fraction of log entries created at the source (Table III)."""
-        if self.log_entries == 0:
-            return 0.0
-        return self.source_logged / self.log_entries
-
 
 @dataclass
 class PowerCut:
@@ -512,7 +505,9 @@ class System:
         The returned report carries the recovery-time analytics
         (``report.cost``): log lines scanned, records undone/applied,
         validation rejections, and the modeled recovery cycles under
-        this machine's NVM timing parameters.
+        this machine's NVM timing parameters.  ``report.lines_changed``
+        counts the durable lines the pass left changed: 0 means it was
+        a no-op.
 
         ``write_budget`` caps the pass's durable writes — the crash-storm
         harness (:mod:`repro.faults.storm`) uses it to model power dying

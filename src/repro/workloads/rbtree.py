@@ -79,17 +79,6 @@ class RBTreeWorkload(Workload):
         self._next_key[tid] += 1
         return ((key * 2654435761) & 0xFFFFFF) * 64 + tid + 1
 
-    # -- field helpers ------------------------------------------------------------------
-
-    @staticmethod
-    def _get(node, off):
-        value = _unpack((yield _Load(node + off, 8)))[0]
-        return value
-
-    @staticmethod
-    def _set(node, off, value):
-        yield _Store(node + off, _pack(value))
-
     # -- rotations -----------------------------------------------------------------------
 
     def _rotate_left(self, tid, x):

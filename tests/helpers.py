@@ -53,8 +53,8 @@ def reference_digest(image, lines=None) -> str:
     Hashes the sparse encoding (image size, then every non-zero line
     with its address, in address order) over ``lines``, or over every
     line of the image when ``lines`` is None, so the reference depends
-    on neither the image's digest memo nor, by default, its touched-line
-    set.
+    on neither the image's own digest code nor, by default, its
+    touched-line set.
     """
     if lines is None:
         lines = range(0, image.size_bytes, CACHE_LINE_BYTES)

@@ -268,12 +268,12 @@ class _Shadow:
 
 
 class TestIncrementalScrubAndDigest:
-    """Plane operations, the scrub and the memoized digest and view.
+    """Plane operations, the scrub, the digest and the touched lines.
 
     After every step of a random sequence of plane operations on a
     checksummed image, both planes must equal a ``bytearray`` shadow
     over the whole image, an image drawn from the pool after
-    :meth:`MemoryImage.recycle` must be all-zero, the memoized
+    :meth:`MemoryImage.recycle` must be all-zero,
     :meth:`MemoryImage.touched_durable_lines` must equal a sort of the
     shadow's own touched-line set, :meth:`MemoryImage.scrub` must equal
     verifying every touched line, and :meth:`MemoryImage.durable_digest`
@@ -370,10 +370,8 @@ class TestIncrementalScrubAndDigest:
     def test_view_follows_damage_to_an_untouched_line(self):
         image = MemoryImage(_SCRUB_SIZE, line_checksums=True)
         image.persist(0, b"a" * 2 * _LINE)
-        view = image.touched_durable_lines()
-        assert image.touched_durable_lines() is view  # memoized
         image.persist(_LINE, b"b")  # the set does not grow
-        assert image.touched_durable_lines() is view
+        assert image.touched_durable_lines() == (0, _LINE)
         image.damage(20 * _LINE, b"\x01")
         assert image.touched_durable_lines() == (0, _LINE, 20 * _LINE)
         copy = image.durable_copy()
@@ -382,7 +380,7 @@ class TestIncrementalScrubAndDigest:
         assert copy.touched_durable_lines()[-1] == 30 * _LINE
         assert image.touched_durable_lines() == (0, _LINE, 20 * _LINE)
 
-    def test_digest_memo_is_dropped_by_every_durable_write(self):
+    def test_digest_follows_every_durable_write(self):
         image = MemoryImage(_SCRUB_SIZE, line_checksums=True)
         digests = [image.durable_digest()]
         for mutate in (lambda: image.persist(0, b"x"),

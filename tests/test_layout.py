@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import MemoryError_
-from repro.common.units import CACHE_LINE_BYTES
+from repro.common.units import (CACHE_LINE_BYTES, CACHE_LINE_SHIFT,
+                                PAGE_SHIFT)
 from repro.config import LogConfig, MemoryConfig
 from repro.mem.layout import AddressLayout, RecordAddress
 
@@ -105,13 +106,38 @@ class TestRecordMath:
         assert end <= layout.bucket_base(0, 1)
 
 
+#: Interleave granules for the page-mask counts: below, at and above
+#: the 4 KB page of the image's line masks.
+INTERLEAVES = (1024, 2048, 4096, 8192)
+
+
+def page_masks(lines) -> dict[int, int]:
+    """Line addresses as the memory image keeps them: page -> mask."""
+    masks: dict[int, int] = {}
+    for line in lines:
+        page = line >> PAGE_SHIFT
+        bit = 1 << ((line >> CACHE_LINE_SHIFT) & 63)
+        masks[page] = masks.get(page, 0) | bit
+    return masks
+
+
 class TestLinesPerController:
-    """Per-controller line counts by run arithmetic equal ``controller_of``."""
+    """Per-controller line counts from page masks equal ``controller_of``.
+
+    The data space is one interleave granule more than 64 KB, so at 1
+    and 2 KB interleaves the data/log boundary falls inside a page; the
+    log regions are not page-aligned, so each boundary between two of
+    them falls inside a page too.
+    """
 
     @staticmethod
-    def _layout(controllers: int) -> AddressLayout:
-        return AddressLayout(64 * 1024, MemoryConfig(num_controllers=controllers),
-                             LogConfig())
+    def _layout(controllers: int, interleave: int) -> AddressLayout:
+        return AddressLayout(
+            64 * 1024 + interleave,
+            MemoryConfig(num_controllers=controllers,
+                         interleave_bytes=interleave),
+            LogConfig(),
+        )
 
     @staticmethod
     def _reference(layout: AddressLayout, lines) -> list[int]:
@@ -120,44 +146,61 @@ class TestLinesPerController:
 
     @staticmethod
     def _boundary_lines(layout: AddressLayout) -> list[int]:
-        """First and last line of every data page and log region."""
-        page = layout.interleave_bytes
-        edges = set()
-        for start in range(0, layout.data_bytes, page):
-            edges.update((start, start + page - CACHE_LINE_BYTES))
-        for c in range(layout.num_controllers):
-            base = layout.log_region_base(c)
-            edges.update((base, base + layout.log_region_bytes
-                          - CACHE_LINE_BYTES))
-        return sorted(edges)
+        """The lines either side of every interleave, data/log and
+        log-region boundary, and the first and last line of the space."""
+        edges = set(range(0, layout.data_bytes, layout.interleave_bytes))
+        edges.update(layout.log_region_base(c)
+                     for c in range(layout.num_controllers))
+        edges.add(layout.total_bytes)
+        lines = set()
+        for edge in edges:
+            lines.update(line for line in (edge - CACHE_LINE_BYTES, edge)
+                         if 0 <= line < layout.total_bytes)
+        return sorted(lines)
 
     @pytest.mark.parametrize("controllers", [1, 2, 4])
     def test_boundaries_match_controller_of(self, controllers):
-        layout = self._layout(controllers)
-        lines = self._boundary_lines(layout)
-        assert (layout.lines_per_controller(lines)
-                == self._reference(layout, lines))
-        assert layout.lines_per_controller([]) == [0] * controllers
+        for interleave in INTERLEAVES:
+            layout = self._layout(controllers, interleave)
+            lines = self._boundary_lines(layout)
+            assert (layout.lines_per_controller(page_masks(lines))
+                    == self._reference(layout, lines))
+            assert layout.lines_per_controller({}) == [0] * controllers
 
     @pytest.mark.parametrize("controllers", [1, 2, 4])
     @given(data=st.data())
     def test_random_lines_match_controller_of(self, controllers, data):
-        layout = self._layout(controllers)
+        layout = self._layout(controllers, data.draw(
+            st.sampled_from(INTERLEAVES)))
         count = layout.total_bytes // CACHE_LINE_BYTES
         data_lines = layout.data_bytes // CACHE_LINE_BYTES
-        # Half the draws fall in the (much smaller) data space.
+        # The pages around each boundary between two controllers' spans.
+        edges = [layout.data_bytes // CACHE_LINE_BYTES] + [
+            layout.log_region_base(c) // CACHE_LINE_BYTES
+            for c in range(1, controllers)
+        ]
+        # A third of the draws fall in the (much smaller) data space and
+        # a third within a page of a boundary.
         indices = data.draw(st.sets(st.one_of(
             st.integers(min_value=0, max_value=data_lines - 1),
             st.integers(min_value=0, max_value=count - 1),
+            st.builds(lambda edge, off: min(max(edge + off, 0), count - 1),
+                      st.sampled_from(edges),
+                      st.integers(min_value=-64, max_value=63)),
         ), max_size=200))
-        lines = sorted(i * CACHE_LINE_BYTES for i in indices)
-        assert (layout.lines_per_controller(lines)
+        lines = [i * CACHE_LINE_BYTES for i in indices]
+        assert (layout.lines_per_controller(page_masks(lines))
                 == self._reference(layout, lines))
 
     @pytest.mark.parametrize("controllers", [1, 2, 4])
     def test_out_of_range_rejected(self, controllers):
-        layout = self._layout(controllers)
-        with pytest.raises(MemoryError_):
-            layout.lines_per_controller([0, layout.total_bytes])
-        with pytest.raises(MemoryError_):
-            layout.lines_per_controller([-CACHE_LINE_BYTES, 0])
+        for interleave in INTERLEAVES:
+            layout = self._layout(controllers, interleave)
+            last = layout.total_bytes - CACHE_LINE_BYTES
+            assert sum(layout.lines_per_controller(page_masks([last]))) == 1
+            with pytest.raises(MemoryError_):
+                layout.lines_per_controller(
+                    page_masks([0, layout.total_bytes]))
+            with pytest.raises(MemoryError_):
+                layout.lines_per_controller(
+                    page_masks([-CACHE_LINE_BYTES, 0]))

@@ -18,7 +18,6 @@ have removed.
 import weakref
 
 import pytest
-from helpers import reference_digest
 
 from repro.atom import recovery, redo
 from repro.common.errors import ConfigError
@@ -320,7 +319,7 @@ def _full_walk_scrub(image, layout):
     """Reference media scrub: verify every touched line, count per line.
 
     Walks a sort of the reference touched-line set, not the image's
-    page masks or memoized view.
+    page masks.
     """
     counts = [0] * layout.num_controllers
     bad = []
@@ -332,27 +331,17 @@ def _full_walk_scrub(image, layout):
     return counts, bad
 
 
-_memoized_digest = MemoryImage.durable_digest
-
-
-def _fresh_digest(image, ranges=None):
-    """Reference whole-image digest: recomputed on every call, over a
-    sort of the reference touched-line set."""
-    if ranges is None:
-        return reference_digest(image, sorted(_TOUCHED[image]))
-    return _memoized_digest(image, ranges)
-
-
 class TestIncrementalScrubDifferential:
-    """The suspect-line scrub and the memoized digest change no outcome.
+    """The suspect-line scrub and its page-mask counts change no outcome.
 
     Every default model on base, atom-opt and redo, with the checksum
     plane and a crash storm, is run twice: as shipped, and with the
     scrub replaced by a full walk over a reference set of the touched
-    lines (per-line ``controller_of``, ``verify_line`` on every line)
-    and the digest recomputed on every call.  Storm passes interrupted
-    over torn or rotten lines, the fixpoint probe and the idempotence
-    check all compare what the shipped code skips recomputing.
+    lines (per-line ``controller_of``, ``verify_line`` on every line).
+    Storm passes interrupted over torn or rotten lines scrub what the
+    shipped code skips verifying.  (The fixpoint and idempotence
+    verdicts take no digest; ``tests/test_recovery_journal.py`` checks
+    them against one.)
     """
 
     @pytest.fixture(autouse=True)
@@ -374,7 +363,6 @@ class TestIncrementalScrubDifferential:
             _record_touched_lines(patch)
             patch.setattr(recovery, "scrub_media", _full_walk_scrub)
             patch.setattr(redo, "scrub_media", _full_walk_scrub)
-            patch.setattr(MemoryImage, "durable_digest", _fresh_digest)
             reference = [execute_fault_point(spec) for spec in specs]
         assert len({o.spec.fault["kind"] for o in shipped}) == 7
         for fast, slow in zip(shipped, reference):
