@@ -1,9 +1,11 @@
 """The fault matrix: (design x workload x fault-model x injection-point).
 
 Mirrors the crash sweep (:mod:`repro.harness.campaign`): every
-:class:`FaultSpec` is one fully-serialisable point, executed by a pool
-worker and memoised in the content-addressed result cache under the
-``"fault"`` kind, so a warm re-run of a whole matrix is served from
+:class:`FaultSpec` is one fully-serialisable point.
+:meth:`~repro.harness.campaign.Campaign.run_faults` runs it through
+:func:`execute_fault_point`, inline or in a pool worker, and memoises
+its :class:`FaultOutcome` in the content-addressed result cache under
+the ``"fault"`` kind, so a warm re-run of a whole matrix is served from
 disk.
 
 The points of one (design, workload, seed) run share it: the run's
@@ -98,7 +100,7 @@ class FaultOutcome:
     """Verdict + recovery analytics for one fault point."""
 
     spec: FaultSpec
-    ok: bool
+    ok: bool = False
     #: The fault actually changed something (vacuity marker).
     applied: bool = False
     #: Validation hits recovery reported (checksum + ADR rejections).
@@ -121,82 +123,6 @@ class FaultOutcome:
     #: Injector's description of what was injected.
     detail: str = ""
     error: str = ""
-
-
-def _outcome_to_dict(outcome: FaultOutcome) -> dict:
-    """Encode an outcome as a JSON-plain payload.
-
-    The payload serialises exactly as ``dataclasses.asdict`` (with
-    ``design`` as its value) would, key order included, so cache
-    entries do not move.  It is built field by field and shares the
-    outcome's JSON-plain containers (``fault``, ``workload_kw``,
-    ``recovery_cost``) instead of deep-copying them.
-    """
-    spec = outcome.spec
-    return {
-        "spec": {
-            "design": spec.design.value,
-            "workload": spec.workload,
-            "fault": spec.fault,
-            "crash_cycle": spec.crash_cycle,
-            "seed": spec.seed,
-            "entry_bytes": spec.entry_bytes,
-            "threads": spec.threads,
-            "txns_per_thread": spec.txns_per_thread,
-            "initial_items": spec.initial_items,
-            "num_cores": spec.num_cores,
-            "workload_kw": spec.workload_kw,
-            "checksums": spec.checksums,
-            "storm": spec.storm,
-        },
-        "ok": outcome.ok,
-        "applied": outcome.applied,
-        "detections": outcome.detections,
-        "commits": outcome.commits,
-        "rolled_back": outcome.rolled_back,
-        "recovery_cost": outcome.recovery_cost,
-        "idempotent": outcome.idempotent,
-        "silent": outcome.silent,
-        "contained": outcome.contained,
-        "storm_attempts": outcome.storm_attempts,
-        "storm_interrupted": outcome.storm_interrupted,
-        "storm_fixpoint": outcome.storm_fixpoint,
-        "detail": outcome.detail,
-        "error": outcome.error,
-    }
-
-
-def _outcome_from_dict(payload: dict) -> FaultOutcome:
-    spec_d = dict(payload["spec"])
-    spec_d["design"] = Design(spec_d["design"])
-    return FaultOutcome(
-        spec=FaultSpec(**spec_d),
-        ok=payload["ok"],
-        applied=payload.get("applied", False),
-        detections=payload.get("detections", 0),
-        commits=payload.get("commits", 0),
-        rolled_back=payload.get("rolled_back", 0),
-        recovery_cost=payload.get("recovery_cost", {}),
-        idempotent=payload.get("idempotent", True),
-        silent=payload.get("silent", 0),
-        contained=payload.get("contained", 0),
-        storm_attempts=payload.get("storm_attempts", 0),
-        storm_interrupted=payload.get("storm_interrupted", 0),
-        storm_fixpoint=payload.get("storm_fixpoint", True),
-        detail=payload.get("detail", ""),
-        error=payload.get("error", ""),
-    )
-
-
-def fault_worker(spec: FaultSpec) -> tuple:
-    """Pool entry point: ("ok", payload) / ("err", message)."""
-    import traceback
-
-    try:
-        return ("ok", _outcome_to_dict(execute_fault_point(spec)))
-    except BaseException as exc:  # noqa: BLE001 — reported in the parent
-        return ("err", f"{spec!r}\n{type(exc).__name__}: {exc}\n"
-                       f"{traceback.format_exc()}")
 
 
 def execute_fault_point(spec: FaultSpec) -> FaultOutcome:

@@ -11,10 +11,11 @@ key is therefore a SHA-256 over:
 * a **code fingerprint**: a hash of every ``repro`` source file, so any
   change to the simulator invalidates all cached results at once.
 
-Entries live under ``$REPRO_CACHE_DIR`` (default
-``~/.cache/repro-campaign``) as ``<key[:2]>/<key>.json``; writes are
-atomic (temp file + rename) so concurrent workers never observe a torn
-entry.  Each entry wraps its payload with a SHA-256 checksum that
+A payload is one point's outcome, encoded by :func:`encode_outcome` and
+decoded against the submitted spec by :func:`decode_outcome`.  Entries
+live under ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro-campaign``)
+as ``<key[:2]>/<key>.json``; writes are atomic (temp file + rename) so
+concurrent workers never observe a torn entry.  Each entry wraps its payload with a SHA-256 checksum that
 ``get`` verifies, so torn or bit-rotted entries — like any other
 corruption — read as misses and are removed.  The cache layer is
 *fail-soft*: a ``put`` that hits a sick filesystem (``ENOSPC``,
@@ -84,6 +85,43 @@ def canonicalize(value: object) -> object:
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     raise TypeError(f"cannot canonicalize {type(value).__name__}: {value!r}")
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> tuple[str, ...]:
+    """A dataclass type's field names, in declaration order."""
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def encode_outcome(outcome: object) -> dict:
+    """JSON-plain cache payload of one campaign point's outcome.
+
+    Field by field and shallow.  The outcome's first field is the
+    point's spec, a dataclass encoded one level deep; enums are encoded
+    by value, and the JSON-plain containers are shared, not copied.  The
+    payload serialises exactly as ``dataclasses.asdict`` with enums by
+    value would, key order included.  :func:`decode_outcome` inverts it.
+    """
+    names = _field_names(type(outcome))
+    spec = getattr(outcome, names[0])
+    payload = {names[0]: {name: _plain(getattr(spec, name))
+                          for name in _field_names(type(spec))}}
+    for name in names[1:]:
+        payload[name] = _plain(getattr(outcome, name))
+    return payload
+
+
+def _plain(value: object) -> object:
+    return value.value if isinstance(value, Enum) else value
+
+
+def decode_outcome(outcome_type: type, payload: dict, spec: object):
+    """The ``outcome_type`` a payload cached under ``spec``'s key encodes.
+
+    The outcome's first field is its spec.  The key covers the spec, so
+    the payload's encoded spec equals ``spec``, which is used as is.
+    """
+    return outcome_type(**{**payload, _field_names(outcome_type)[0]: spec})
 
 
 def spec_key(spec: object, kind: str = "run") -> str:

@@ -26,12 +26,20 @@ prefix: the run is simulated once, and at each point a power cut of the
 running machine is recovered and checked while the machine runs on
 (:func:`cut_point`, which serves the fault sweep's points and every
 untraced litmus point too).
+
+Every kind of point goes through one protocol.  A kind is its point
+executor (``run_spec``, :func:`execute_crash_point`,
+``execute_fault_point``, ``execute_litmus_point``) and the outcome type
+it returns, whose first field is the point's spec.  Inline or in a pool
+worker, :func:`_attempt` calls the executor; a worker receives it by
+reference and sends the outcome object back.  Outcomes are encoded
+only for the result cache (:func:`~repro.harness.cache.encode_outcome`),
+and a cache hit decodes against the submitted spec.
 """
 
 from __future__ import annotations
 
 import atexit
-import dataclasses
 import heapq
 import itertools
 import multiprocessing
@@ -48,7 +56,8 @@ from multiprocessing.connection import wait as _conn_wait
 from repro.common.errors import ReproError, SimulationError, WorkloadError
 from repro.common.log import get_logger
 from repro.config import Design
-from repro.harness.cache import ResultCache, spec_key
+from repro.harness.cache import (ResultCache, decode_outcome, encode_outcome,
+                                 spec_key)
 from repro.harness.report import describe_spec, format_table, mean_ci
 from repro.harness.runner import RunResult, RunSpec, run_spec
 from repro.harness.supervise import FailedOutcome, RetryPolicy
@@ -61,68 +70,20 @@ class CampaignError(ReproError):
     """A worker process failed while executing a campaign point."""
 
 
-# -- serialisation ------------------------------------------------------------
+#: The cache payload of a :class:`RunResult` (or any point outcome).
+result_to_dict = encode_outcome
 
 
-def result_to_dict(result: RunResult) -> dict:
-    """JSON-encodable payload for one :class:`RunResult`."""
-    spec = dataclasses.asdict(result.spec)
-    spec["design"] = result.spec.design.value
-    return {
-        "spec": spec,
-        "cycles": result.cycles,
-        "txns": result.txns,
-        "throughput": result.throughput,
-        "sq_full_cycles": result.sq_full_cycles,
-        "log_entries": result.log_entries,
-        "source_logged": result.source_logged,
-        "log_writes": result.log_writes,
-        "stats": result.stats,
-    }
+def _attempt(execute, spec) -> tuple:
+    """``("ok", execute(spec))``, or ``("err", text)`` if it raised.
 
-
-def result_from_dict(payload: dict) -> RunResult:
-    """Inverse of :func:`result_to_dict`."""
-    spec_d = dict(payload["spec"])
-    spec_d["design"] = Design(spec_d["design"])
-    return RunResult(
-        spec=RunSpec(**spec_d),
-        cycles=payload["cycles"],
-        txns=payload["txns"],
-        throughput=payload["throughput"],
-        sq_full_cycles=payload["sq_full_cycles"],
-        log_entries=payload["log_entries"],
-        source_logged=payload["source_logged"],
-        log_writes=payload["log_writes"],
-        stats=payload["stats"],
-    )
-
-
-# -- worker entry points ------------------------------------------------------
-#
-# Pool targets must be importable top-level functions.  They return
-# ("ok", payload) / ("err", message) tuples instead of raising so that a
-# crashing worker surfaces a readable CampaignError in the parent rather
-# than an unpicklable exception or a hung pool.
-
-
-def _execute_run(spec: RunSpec) -> RunResult:
-    """Run one simulation point (also the determinism-test target)."""
-    return run_spec(spec)
-
-
-def _run_worker(spec: RunSpec) -> tuple:
+    An error comes back as text so that it surfaces as a readable
+    :class:`CampaignError` in the parent rather than as an unpicklable
+    exception or a hung pool.
+    """
     try:
-        return ("ok", result_to_dict(_execute_run(spec)))
+        return ("ok", execute(spec))
     except BaseException as exc:  # noqa: BLE001 — reported in the parent
-        return ("err", f"{spec!r}\n{type(exc).__name__}: {exc}\n"
-                       f"{traceback.format_exc()}")
-
-
-def _crash_worker(spec: "CrashSpec") -> tuple:
-    try:
-        return ("ok", _crash_outcome_dict(execute_crash_point(spec)))
-    except BaseException as exc:  # noqa: BLE001
         return ("err", f"{spec!r}\n{type(exc).__name__}: {exc}\n"
                        f"{traceback.format_exc()}")
 
@@ -133,11 +94,13 @@ def _crash_worker(spec: "CrashSpec") -> tuple:
 def _pool_worker_main(conn, chaos=None) -> None:
     """Worker loop: receive tasks on a private duplex pipe, reply inline.
 
-    Each task frame is ``(index, attempt, worker_fn, spec)``; the reply
-    is one binary pickle frame ``(index, attempt, (status, payload))``.
-    An empty frame is the shutdown sentinel.  Worker functions arrive by
-    reference, so the model modules they live in are imported once per
-    worker (on first use) and stay warm for every following point —
+    Each task frame is ``(index, attempt, execute, spec)``, where
+    ``execute`` is a point executor (``run_spec``,
+    ``execute_crash_point``, ...); the reply is one binary pickle frame
+    ``(index, attempt, (status, outcome))`` carrying the outcome object
+    itself.  An empty frame is the shutdown sentinel.  Executors arrive
+    by reference, so the model modules they live in are imported once
+    per worker (on first use) and stay warm for every following point —
     this is what kills the per-batch spawn + import cost of a
     fork-per-batch pool.
 
@@ -151,7 +114,7 @@ def _pool_worker_main(conn, chaos=None) -> None:
             frame = conn.recv_bytes()
             if not frame:
                 break
-            index, attempt, worker_fn, spec = pickle.loads(frame)
+            index, attempt, execute, spec = pickle.loads(frame)
             action = (chaos.action_for(index, attempt)
                       if chaos is not None else None)
             if action is not None:
@@ -159,11 +122,7 @@ def _pool_worker_main(conn, chaos=None) -> None:
                     os._exit(137)
                 elif action.kind == "hang":
                     time.sleep(action.seconds)
-            try:
-                reply = worker_fn(spec)
-            except BaseException as exc:  # noqa: BLE001 — surfaced in parent
-                reply = ("err", f"{spec!r}\n{type(exc).__name__}: {exc}\n"
-                                f"{traceback.format_exc()}")
+            reply = _attempt(execute, spec)
             if action is not None and action.kind == "corrupt-frame":
                 from repro.harness.chaos import CHAOS_GARBAGE_FRAME
 
@@ -209,7 +168,9 @@ class WorkerPool:
     parent dispatches tasks directly to idle workers over per-worker
     duplex pipes (bounded depth, so a worker never idles between
     points) and multiplexes replies with
-    ``multiprocessing.connection.wait``.
+    ``multiprocessing.connection.wait``.  A task names its point
+    executor by reference, and its reply carries the executor's outcome
+    object (see :func:`_pool_worker_main`).
 
     Directed dispatch is what makes the pool *supervisable*: the parent
     always knows exactly which (index, spec) each worker holds, and no
@@ -319,14 +280,15 @@ class WorkerPool:
 
     # -- the supervised map loop ----------------------------------------------
 
-    def map(self, specs: Sequence, worker, kind: str = "task") -> list[tuple]:
-        """Run ``worker`` over ``specs`` on the pool; order-preserving.
+    def map(self, specs: Sequence, execute, kind: str = "task") -> list[tuple]:
+        """Run ``execute`` over ``specs`` on the pool; order-preserving.
 
-        Every reply is ``(status, payload)``: ``"ok"``/``"err"`` from
-        the worker function itself, or ``"failed"`` synthesised here for
-        a quarantined poison task.  The batch always completes — worker
-        death, hangs, and torn frames are absorbed by retry/backoff,
-        quarantine, and (past the respawn budget) inline fallback.
+        Every reply is ``(status, value)``: ``("ok", outcome)`` or
+        ``("err", text)`` from :func:`_attempt`, or ``("failed", info)``
+        synthesised here for a quarantined poison task.  The batch
+        always completes — worker death, hangs, and torn frames are
+        absorbed by retry/backoff, quarantine, and (past the respawn
+        budget) inline fallback.
         """
         if self._closed:
             raise CampaignError("worker pool already closed")
@@ -405,7 +367,7 @@ class WorkerPool:
 
         while remaining:
             if self._degraded or not self._workers:
-                self._finish_inline(specs, worker, done, finish)
+                self._finish_inline(specs, execute, done, finish)
                 break
             now = time.monotonic()
             while delayed and delayed[0][0] <= now:
@@ -420,7 +382,7 @@ class WorkerPool:
                         continue
                     try:
                         w.conn.send_bytes(pickle.dumps(
-                            (index, attempts[index], worker, specs[index]),
+                            (index, attempts[index], execute, specs[index]),
                             pickle.HIGHEST_PROTOCOL,
                         ))
                     except (OSError, ValueError):
@@ -482,19 +444,13 @@ class WorkerPool:
                     )
         return out
 
-    def _finish_inline(self, specs, worker, done, finish) -> None:
+    def _finish_inline(self, specs, execute, done, finish) -> None:
         """Degraded mode: execute every unfinished task in-process."""
         for index in range(len(specs)):
             if done[index]:
                 continue
             self.telemetry.emit("inline-exec", task=index)
-            try:
-                reply = worker(specs[index])
-            except BaseException as exc:  # noqa: BLE001
-                reply = ("err", f"{specs[index]!r}\n"
-                                f"{type(exc).__name__}: {exc}\n"
-                                f"{traceback.format_exc()}")
-            finish(index, reply)
+            finish(index, _attempt(execute, specs[index]))
 
     def close(self) -> None:
         """Stop the workers (idempotent; also registered atexit)."""
@@ -663,17 +619,23 @@ class Campaign:
 
     # -- generic cached fan-out ----------------------------------------------
 
-    def _map(self, specs: Sequence, worker, from_dict, kind: str) -> list:
-        """Resolve each spec via cache or worker pool; order-preserving."""
+    def _map(self, specs: Sequence, kind: str, execute, outcome_type) -> list:
+        """Resolve each spec via cache or ``execute``; order-preserving.
+
+        ``execute(spec)`` is the kind's point executor and returns an
+        ``outcome_type`` whose first field is the spec.  Outcomes cross
+        the pool as objects; only the cache holds them encoded
+        (:func:`~repro.harness.cache.encode_outcome`).
+        """
         tel = self.telemetry
         tel.begin_batch(len(specs), kind)
         try:
-            return self._map_inner(specs, worker, from_dict, kind)
+            return self._map_inner(specs, kind, execute, outcome_type)
         finally:
             tel.end_batch()
 
-    def _map_inner(self, specs: Sequence, worker, from_dict,
-                   kind: str) -> list:
+    def _map_inner(self, specs: Sequence, kind: str, execute,
+                   outcome_type) -> list:
         tel = self.telemetry
         evictions_before = (
             self.cache.corrupt_evictions if self.cache is not None else 0
@@ -694,7 +656,7 @@ class Campaign:
                     continue
                 payload = self.cache.get(key)
                 if payload is not None:
-                    out[i] = from_dict(payload)
+                    out[i] = decode_outcome(outcome_type, payload, spec)
                     resolved_keys[key] = out[i]
                     tel.emit("cache-hit", kind=kind, task=i)
                     tel.note_cached()
@@ -721,69 +683,81 @@ class Campaign:
                 todo_indices.append(i)
             replies = dict(zip(
                 todo_indices,
-                self._dispatch([pending[i] for i in todo_indices], worker,
-                               kind),
+                self._dispatch([pending[i] for i in todo_indices], kind,
+                               execute),
             ))
-            for i, (status, payload) in replies.items():
+            for i, (status, value) in replies.items():
                 if status == "failed":
                     # Quarantined poison point: the batch completes and
                     # only this cell carries the failure (never cached).
-                    out[i] = self._failed_outcome(kind, pending[i], payload)
+                    out[i] = self._quarantine(kind, pending[i], value,
+                                              outcome_type)
                     continue
                 if status != "ok":
                     raise CampaignError(
                         f"campaign worker failed on point "
                         f"[{describe_spec(pending[i], kind=kind)}]:"
-                        f"\n{payload}"
+                        f"\n{value}"
                     )
                 self.computed += 1
                 if keys[i] is not None:
-                    self.cache.put(keys[i], payload)
-                out[i] = from_dict(payload)
+                    self.cache.put(keys[i], encode_outcome(value))
+                out[i] = value
             for i, src in alias.items():
                 out[i] = out[src]
         return out
 
-    def _dispatch(self, specs: list, worker, kind: str) -> list[tuple]:
+    def _dispatch(self, specs: list, kind: str, execute) -> list[tuple]:
         if self.jobs == 1 or len(specs) == 1:
             tel = self.telemetry
             out = []
             for i, s in enumerate(specs):
                 tel.task_dispatched(i, 0, kind=kind, mode="inline")
-                reply = worker(s)
+                reply = _attempt(execute, s)
                 tel.task_finished(i, status=reply[0], kind=kind,
                                   attempts=1)
                 out.append(reply)
             return out
-        return self.pool().map(specs, worker, kind=kind)
+        return self.pool().map(specs, execute, kind=kind)
 
-    def _failed_outcome(self, kind: str, spec, info: dict):
-        """Fold a quarantined task into the kind's outcome type.
+    def _quarantine(self, kind: str, spec, info: dict, outcome_type):
+        """Fold a quarantined task into its point's outcome.
 
-        Sweep kinds have a structured per-point verdict with an
-        ``error`` field, so the existing renderers and failure counts
-        pick the poison cell up unchanged; plain ``run`` points return
-        the generic :class:`FailedOutcome`.  Every quarantine is also
-        recorded on :attr:`quarantined`.
+        A sweep point's outcome is ``outcome_type(spec, error=...)``
+        (``ok`` False, ``state`` None), so the existing renderers and
+        failure counts pick the poison cell up unchanged; a plain
+        ``run`` point returns the generic :class:`FailedOutcome`.
+        Every quarantine is also recorded on :attr:`quarantined`.
         """
         error = (f"quarantined after {info['attempts']} attempt(s): "
                  f"{info['error']}")
         failed = FailedOutcome(kind=kind, spec=spec, error=error,
                                attempts=info["attempts"])
         self.quarantined.append(failed)
-        if kind == "crash":
-            return CrashOutcome(spec=spec, ok=False, error=error)
-        if kind == "fault":
-            from repro.faults.sweep import FaultOutcome
+        if kind == "run":
+            return failed
+        return outcome_type(spec, error=error)
 
-            return FaultOutcome(spec=spec, ok=False, error=error)
-        if kind == "litmus":
-            from repro.litmus.explorer import LitmusOutcome
+    def _run_points(self, specs: Sequence, kind: str, execute,
+                    outcome_type) -> list:
+        """Run a batch of power-cut points (cached, pooled), in order.
 
-            return LitmusOutcome(point=spec, state=None, error=error)
-        return failed
+        Crash, fault and litmus points go through here.  The points of
+        one run share its simulated prefix (see :func:`cut_point`), so
+        submit each run's points together in ascending crash-cycle
+        order, as :func:`crash_grid` and ``fault_grid`` do.  The live
+        run is dropped after the batch.
+        """
+        try:
+            return self._map(list(specs), kind, execute, outcome_type)
+        finally:
+            _drop_live_run()
 
-    # -- simulation points ----------------------------------------------------
+    # -- simulation, crash, litmus and fault points ---------------------------
+    #
+    # Each entry point looks its executor up when it is called, so a
+    # patched module attribute (a point counter, say) is the one that
+    # runs.
 
     def run(self, specs: Sequence[RunSpec]) -> list[RunResult]:
         """Run a batch of points; returns results in submission order.
@@ -798,7 +772,7 @@ class Campaign:
             for spec in specs
             for k in range(self.seeds)
         ]
-        flat = self._map(expanded, _run_worker, result_from_dict, "run")
+        flat = self._map(expanded, "run", run_spec, RunResult)
         return [
             aggregate_results(flat[i * self.seeds:(i + 1) * self.seeds])
             for i in range(len(specs))
@@ -807,61 +781,25 @@ class Campaign:
     def run_one(self, spec: RunSpec) -> RunResult:
         return self.run([spec])[0]
 
-    # -- crash sweep ----------------------------------------------------------
-
     def run_crash(self, specs: Sequence["CrashSpec"]) -> list["CrashOutcome"]:
-        """Differential-check a batch of crash points (cached, pooled).
-
-        Consecutive points of one run share its simulated prefix (see
-        :func:`cut_point`), so submit each run's points together in
-        ascending crash-cycle order, as :func:`crash_grid` does.  The
-        live run is dropped after the batch.
-        """
-        try:
-            return self._map(list(specs), _crash_worker,
-                             _crash_outcome_from_dict, "crash")
-        finally:
-            _drop_live_run()
-
-    # -- litmus points --------------------------------------------------------
+        """Differential-check crash points (see :meth:`_run_points`)."""
+        return self._run_points(specs, "crash", execute_crash_point,
+                                CrashOutcome)
 
     def run_litmus(self, points: Sequence) -> list:
-        """Run litmus crash points (cached, pooled).
+        """Run litmus points (``LitmusPoint`` to ``LitmusOutcome``)."""
+        from repro.litmus import explorer
 
-        ``points`` are :class:`repro.litmus.explorer.LitmusPoint`s; the
-        result is order-preserving :class:`LitmusOutcome`s.  Imported
-        lazily so the campaign layer has no hard litmus dependency.
-        Plain points of one cell share its run as crash points do (see
-        :func:`cut_point`); the live run is dropped after the batch.
-        """
-        from repro.litmus.explorer import _outcome_from_dict, litmus_worker
-
-        try:
-            return self._map(list(points), litmus_worker,
-                             _outcome_from_dict, "litmus")
-        finally:
-            _drop_live_run()
-
-    # -- fault points ---------------------------------------------------------
+        return self._run_points(points, "litmus",
+                                explorer.execute_litmus_point,
+                                explorer.LitmusOutcome)
 
     def run_faults(self, specs: Sequence) -> list:
-        """Run fault-injection points (cached, pooled).
+        """Run fault points (``FaultSpec`` to ``FaultOutcome``)."""
+        from repro.faults import sweep
 
-        ``specs`` are :class:`repro.faults.sweep.FaultSpec`s; the result
-        is order-preserving :class:`FaultOutcome`s.  Imported lazily,
-        like the litmus hook.  The points of one run share it whatever
-        their fault model and storm seed (see :func:`cut_point`), so
-        submit each run's points together in ascending crash-cycle
-        order, as :func:`repro.faults.sweep.fault_grid` does.  The live
-        run is dropped after the batch.
-        """
-        from repro.faults.sweep import _outcome_from_dict, fault_worker
-
-        try:
-            return self._map(list(specs), fault_worker,
-                             _outcome_from_dict, "fault")
-        finally:
-            _drop_live_run()
+        return self._run_points(specs, "fault", sweep.execute_fault_point,
+                                sweep.FaultOutcome)
 
 
 # -- crash sweep --------------------------------------------------------------
@@ -888,32 +826,13 @@ class CrashOutcome:
     """Differential-check verdict for one crash point."""
 
     spec: CrashSpec
-    ok: bool
+    ok: bool = False
     commits: int = 0
     updates_rolled_back: int = 0
     #: Recovery-time analytics of the point's recovery pass
     #: (:meth:`repro.faults.analytics.RecoveryCost.to_dict`).
     recovery_cost: dict = field(default_factory=dict)
     error: str = ""
-
-
-def _crash_outcome_dict(outcome: CrashOutcome) -> dict:
-    payload = dataclasses.asdict(outcome)
-    payload["spec"]["design"] = outcome.spec.design.value
-    return payload
-
-
-def _crash_outcome_from_dict(payload: dict) -> CrashOutcome:
-    spec_d = dict(payload["spec"])
-    spec_d["design"] = Design(spec_d["design"])
-    return CrashOutcome(
-        spec=CrashSpec(**spec_d),
-        ok=payload["ok"],
-        commits=payload["commits"],
-        updates_rolled_back=payload["updates_rolled_back"],
-        recovery_cost=payload.get("recovery_cost", {}),
-        error=payload["error"],
-    )
 
 
 class _LiveRun:

@@ -15,9 +15,10 @@ For every (litmus test × design × seed) cell the explorer
 5. classifies every distinct state against the spec's postconditions.
 
 Points go through :meth:`repro.harness.campaign.Campaign.run_litmus`,
-so they fan out over the worker pool and land in the content-addressed
-result cache: a re-run of the whole catalog is served from disk, and
-densifying a grid only computes the new points.
+which runs each through :func:`execute_litmus_point`, inline or in a
+pool worker, and keeps its :class:`LitmusOutcome` in the
+content-addressed result cache: a re-run of the whole catalog is served
+from disk, and densifying a grid only computes the new points.
 
 A **verdict** per cell: ``ok`` (no forbidden state reachable),
 ``detected`` (forbidden reached on a design the spec expects to break —
@@ -77,7 +78,7 @@ class LitmusOutcome:
 
     point: LitmusPoint
     #: Recovered u64 per variable (``None`` when the point errored).
-    state: dict | None
+    state: dict | None = None
     #: Digest of the variable region's durable lines (dedup key).
     digest: str = ""
     commits: int = 0
@@ -93,66 +94,6 @@ class LitmusOutcome:
     #: when nothing durability-critical was in flight).
     windows: list = field(default_factory=list)
     error: str = ""
-
-
-def _outcome_to_dict(outcome: LitmusOutcome) -> dict:
-    """Encode an outcome as a JSON-plain payload.
-
-    The payload serialises exactly as ``dataclasses.asdict`` (with
-    ``design`` as its value) would, key order included, so cache
-    entries do not move.  It is built field by field: the spec encoding
-    ``point.test`` is already JSON-plain and the same for every point
-    of a test, so the payload shares it, and the outcome's other
-    containers, instead of deep-copying them.
-    """
-    point = outcome.point
-    return {
-        "point": {
-            "test": point.test,
-            "design": point.design.value,
-            "crash_cycle": point.crash_cycle,
-            "seed": point.seed,
-            "fault": point.fault,
-            "storm": point.storm,
-        },
-        "state": outcome.state,
-        "digest": outcome.digest,
-        "commits": outcome.commits,
-        "rolled_back": outcome.rolled_back,
-        "finish": outcome.finish,
-        "idempotent": outcome.idempotent,
-        "recovery_cost": outcome.recovery_cost,
-        "windows": outcome.windows,
-        "error": outcome.error,
-    }
-
-
-def _outcome_from_dict(payload: dict) -> LitmusOutcome:
-    point_d = dict(payload["point"])
-    point_d["design"] = Design(point_d["design"])
-    return LitmusOutcome(
-        point=LitmusPoint(**point_d),
-        state=payload["state"],
-        digest=payload["digest"],
-        commits=payload["commits"],
-        rolled_back=payload["rolled_back"],
-        finish=payload["finish"],
-        idempotent=payload["idempotent"],
-        recovery_cost=payload.get("recovery_cost", {}),
-        windows=list(payload.get("windows", [])),
-        error=payload["error"],
-    )
-
-
-def litmus_worker(point: LitmusPoint) -> tuple:
-    """Pool entry point: ("ok", payload) / ("err", message)."""
-    import traceback
-
-    try:
-        return ("ok", _outcome_to_dict(execute_litmus_point(point)))
-    except BaseException as exc:  # noqa: BLE001 — reported in the parent
-        return ("err", f"{point!r}\n{type(exc).__name__}: {exc}\n"
-                       f"{traceback.format_exc()}")
 
 
 def execute_litmus_point(point: LitmusPoint, *,

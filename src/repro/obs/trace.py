@@ -1,7 +1,7 @@
 """Transaction-lifecycle tracing for the simulated machine.
 
 The :class:`Tracer` mirrors the fault injector's wiring discipline
-(:mod:`repro.faults.injector`): every component that can be traced
+(:mod:`repro.faults.models`): every component that can be traced
 holds a ``tracer`` attribute that is ``None`` in normal runs, and each
 hook site pays exactly one predictable ``if tracer is not None``
 branch — the same gate pattern the injector already established, and

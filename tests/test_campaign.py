@@ -19,11 +19,9 @@ from repro.harness.campaign import (
     CampaignError,
     CrashSpec,
     WorkerPool,
-    _run_worker,
     aggregate_results,
     crash_grid,
     crash_sweep,
-    result_from_dict,
     result_to_dict,
 )
 from repro.harness.experiments import run_experiment
@@ -169,10 +167,14 @@ class TestCampaignCache:
         warm = time.perf_counter() - start
         assert warm < 0.1 * cold
 
-    def test_result_round_trip(self):
-        result = run_spec(TINY)
-        assert result_to_dict(result_from_dict(result_to_dict(result))) \
-            == result_to_dict(result)
+    def test_warm_batch_equals_cold_batch(self, cache):
+        specs = [TINY, TINY.with_seed(11)]
+        cold = Campaign(jobs=1, cache=cache).run(specs)
+        warm_campaign = Campaign(jobs=1, cache=ResultCache(cache.root))
+        warm = warm_campaign.run(specs)
+        assert warm_campaign.computed == 0
+        assert warm == cold
+        assert [r.spec for r in warm] == specs
 
 
 class TestCampaignPool:
@@ -237,6 +239,57 @@ class TestCampaignPool:
         campaign.close()
 
 
+def _routing_batch(kind: str):
+    """``(module, executor name, Campaign method, points)`` of one kind."""
+    from repro.faults import sweep
+    from repro.faults.models import ControllerLoss
+    from repro.harness import campaign
+    from repro.litmus import explorer
+    from repro.litmus.catalog import CATALOG
+
+    if kind == "run":
+        return campaign, "run_spec", "run", [TINY, TINY.with_seed(5)]
+    if kind == "crash":
+        return campaign, "execute_crash_point", "run_crash", crash_grid(
+            designs=[Design.ATOM_OPT], workloads=["hash"],
+            crash_cycles=[6_000, 10_000])
+    if kind == "litmus":
+        return explorer, "execute_litmus_point", "run_litmus", [
+            explorer.LitmusPoint(test=CATALOG[0].to_dict(),
+                                 design=Design.ATOM, crash_cycle=cycle)
+            for cycle in (None, 100)
+        ]
+    return sweep, "execute_fault_point", "run_faults", sweep.fault_grid(
+        designs=[Design.ATOM_OPT], workloads=["hash"],
+        models=[ControllerLoss()], crash_cycles=[6_000, 10_000])
+
+
+class TestExecutorRouting:
+    """Each entry point looks its executor up in its module when called.
+
+    A counting wrapper patched over the module attribute, as the
+    benchmark's point log patches it, must see every point of a batch;
+    an executor bound when the campaign module is imported would not.
+    """
+
+    @pytest.mark.parametrize("kind", ["run", "crash", "litmus", "fault"])
+    def test_every_point_goes_through_the_patched_executor(
+            self, kind, monkeypatch):
+        module, name, method, points = _routing_batch(kind)
+        executor = getattr(module, name)
+        seen = []
+
+        def counting(spec, *args, **kwargs):
+            seen.append(spec)
+            return executor(spec, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        with Campaign(jobs=1, cache=None) as campaign:
+            outcomes = getattr(campaign, method)(points)
+        assert len(outcomes) == len(points)
+        assert seen == points
+
+
 class TestPoolLifecycle:
     """Edge cases of the supervised pool's own lifecycle."""
 
@@ -244,14 +297,14 @@ class TestPoolLifecycle:
         # close() is atexit-registered, so an explicit close followed by
         # the interpreter-exit close must be a no-op, not an error.
         pool = WorkerPool(2)
-        pool.map([TINY], _run_worker, kind="run")
+        pool.map([TINY], run_spec, kind="run")
         pool.close()
         pool.close()
         assert len(pool) == 0
 
     def test_close_with_tasks_still_queued_returns_promptly(self):
         pool = WorkerPool(1)
-        frame = pickle.dumps((0, 0, _run_worker, TINY),
+        frame = pickle.dumps((0, 0, run_spec, TINY),
                              protocol=pickle.HIGHEST_PROTOCOL)
         procs = pool._procs
         pool._workers[0].conn.send_bytes(frame)
@@ -265,7 +318,7 @@ class TestPoolLifecycle:
         pool = WorkerPool(1)
         pool.close()
         with pytest.raises(CampaignError, match="already closed"):
-            pool.map([TINY], _run_worker, kind="run")
+            pool.map([TINY], run_spec, kind="run")
 
     def test_shutdown_sentinel_exits_workers_cleanly(self):
         pool = WorkerPool(2)
@@ -320,12 +373,16 @@ class TestCrashSweep:
     def test_sweep_outcomes_cache(self, cache):
         campaign = Campaign(jobs=1, cache=cache)
         specs = [CrashSpec(design=Design.ATOM_OPT, workload="hash",
-                           crash_cycle=8_000)]
-        campaign.run_crash(specs)
+                           crash_cycle=cycle) for cycle in (8_000, 12_000)]
+        cold = campaign.run_crash(specs)
         computed = campaign.computed
         again = campaign.run_crash(specs)
         assert campaign.computed == computed
-        assert again[0].ok
+        assert all(o.ok for o in again)
+        # A cache hit decodes to the cold outcome, around the submitted
+        # spec itself.
+        assert again == cold
+        assert all(o.spec is spec for o, spec in zip(again, specs))
 
     def test_crash_cycle_beyond_completion_rolls_back_nothing(self):
         campaign = Campaign(jobs=1, cache=None)

@@ -11,6 +11,7 @@ still finish the batch.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import pytest
@@ -20,7 +21,6 @@ from repro.config import Design
 from repro.harness.campaign import (
     Campaign,
     CrashSpec,
-    crash_sweep,
     result_to_dict,
 )
 from repro.harness.cache import ResultCache
@@ -58,6 +58,54 @@ def baseline():
     """The undisturbed run every chaos run must converge to."""
     campaign = Campaign(jobs=1, cache=None)
     return [result_to_dict(r) for r in campaign.run(SPECS)]
+
+
+def _sweep_batch(kind: str):
+    """``(points, run, report)`` for three points of one sweep kind.
+
+    ``run(campaign, points)`` returns the outcomes and ``report(outcomes)``
+    the kind's failure count and rendered verdict table.
+    """
+    if kind == "crash":
+        from repro.harness.campaign import CrashSweepResult
+
+        points = [CrashSpec(design=Design.ATOM_OPT, workload="hash",
+                            crash_cycle=cycle)
+                  for cycle in (6_000, 10_000, 14_000)]
+
+        def report(outcomes):
+            sweep = CrashSweepResult(outcomes)
+            return len(sweep.failures), sweep.render()
+
+        return points, Campaign.run_crash, report
+    if kind == "fault":
+        from repro.faults.models import ControllerLoss
+        from repro.faults.sweep import FaultSweepResult, fault_grid
+
+        points = fault_grid(designs=[Design.ATOM_OPT], workloads=["hash"],
+                            models=[ControllerLoss()],
+                            crash_cycles=(6_000, 10_000, 14_000))
+
+        def report(outcomes):
+            sweep = FaultSweepResult(outcomes)
+            return len(sweep.failures), sweep.render()
+
+        return points, Campaign.run_faults, report
+    from repro.litmus.catalog import CATALOG
+    from repro.litmus.explorer import LitmusCell, LitmusPoint, LitmusReport
+
+    points = [LitmusPoint(test=CATALOG[0].to_dict(), design=Design.ATOM_OPT,
+                          crash_cycle=cycle) for cycle in (100, 200, 300)]
+
+    def report(outcomes):
+        cell = LitmusCell(test=CATALOG[0].name, design="atom-opt",
+                          expected=False)
+        for outcome in outcomes:
+            cell.absorb(outcome, [], [])
+        litmus = LitmusReport(cells=[cell], points_total=len(outcomes))
+        return len(litmus.failures), litmus.render()
+
+    return points, Campaign.run_litmus, report
 
 
 def run_and_dict(campaign) -> list[dict]:
@@ -170,23 +218,28 @@ class TestPoisonQuarantine:
         assert len(failed) == 1 and failed[0]["task"] == 3
         assert campaign.metrics["quarantined"] == 1
 
-    def test_poison_crash_point_folds_into_crash_outcome(self):
-        specs = [
-            CrashSpec(design=Design.ATOM_OPT, workload="hash",
-                      crash_cycle=cycle)
-            for cycle in (6_000, 10_000, 14_000)
-        ]
+    @pytest.mark.parametrize("kind", ["crash", "fault", "litmus"])
+    def test_poison_sweep_point_folds_into_its_outcome(self, kind):
+        points, run, report = _sweep_batch(kind)
         campaign = chaos_campaign(poison_on(1), max_retries=0)
         try:
-            sweep = crash_sweep(campaign, specs)
+            outcomes = run(campaign, points)
         finally:
             campaign.close()
-        assert [o.ok for o in sweep.outcomes] == [True, False, True]
-        bad = sweep.outcomes[1]
-        assert "quarantined" in bad.error
-        assert bad.spec.crash_cycle == 10_000
-        assert len(sweep.failures) == 1
-        assert "quarantined" in sweep.render()
+        assert [o.error == "" for o in outcomes] == [True, False, True]
+        if kind != "litmus":
+            assert [o.ok for o in outcomes] == [True, False, True]
+        bad = outcomes[1]
+        # The kind's own outcome type, around the submitted spec, with
+        # the error set (and ``state`` None for litmus).
+        assert type(bad) is type(outcomes[0])
+        assert getattr(bad, dataclasses.fields(bad)[0].name) is points[1]
+        assert getattr(bad, "state", None) is None
+        assert bad.error.startswith("quarantined after 1 attempt(s)")
+        assert campaign.quarantined[0].error == bad.error
+        failures, text = report(outcomes)
+        assert failures == 1
+        assert "quarantined" in text
 
     def test_max_retries_zero_quarantines_first_failure(self):
         campaign = chaos_campaign(kill_worker_on(0), max_retries=0)

@@ -16,7 +16,7 @@ import multiprocessing
 import pytest
 
 from repro.config import Design
-from repro.harness.campaign import _execute_run, result_to_dict
+from repro.harness.campaign import result_to_dict
 from repro.harness.runner import RunSpec, run_spec
 
 SPEC = RunSpec(
@@ -29,7 +29,7 @@ def _run_in_fresh_process(spec: RunSpec) -> dict:
     """Execute ``spec`` in a brand-new spawned interpreter."""
     ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(processes=1) as pool:
-        return result_to_dict(pool.apply(_execute_run, (spec,)))
+        return result_to_dict(pool.apply(run_spec, (spec,)))
 
 
 class TestDeterminism:

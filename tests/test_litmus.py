@@ -399,16 +399,19 @@ class TestExploration:
         assert cell.unlisted_points > 0
         assert cell.status == "FAIL"
 
-    def test_outcomes_roundtrip_through_cache_payloads(self):
-        from repro.litmus.explorer import (_outcome_from_dict,
-                                           _outcome_to_dict)
+    def test_warm_batch_equals_cold_batch(self, tmp_path):
+        from repro.harness.cache import ResultCache
 
-        out = execute_litmus_point(LitmusPoint(
-            test=tiny_spec().to_dict(), design=Design.BASE,
-            crash_cycle=400,
-        ))
-        clone = _outcome_from_dict(_outcome_to_dict(out))
-        assert clone == out
+        points = list(_codec_points().values())
+        cold = Campaign(jobs=1, cache=ResultCache(tmp_path)).run_litmus(
+            points)
+        warm_campaign = Campaign(jobs=1, cache=ResultCache(tmp_path))
+        warm = warm_campaign.run_litmus(points)
+        assert warm_campaign.computed == 0
+        # Each hit decodes to the cold outcome, around the submitted
+        # point itself.
+        assert warm == cold
+        assert all(o.point is p for o, p in zip(warm, points))
 
     def test_json_artifact_shape(self):
         report = explore(
@@ -460,31 +463,91 @@ def _codec_points() -> dict:
     }
 
 
-class TestOutcomeCodec:
-    """Drift guard for the field-by-field litmus outcome codec.
+def _codec_outcomes() -> dict:
+    """Drift-guard input name -> thunk computing that point's outcome.
 
-    The payload must serialise exactly as ``dataclasses.asdict`` did
-    (cache entries and artifacts stay byte-identical), so a field added
-    to ``LitmusPoint`` or ``LitmusOutcome`` without a codec update fails
-    here.
+    The five litmus ``_codec_points``, three fault points (one storm on
+    a multi-fault model, one media model, one model inapplicable to its
+    design), a hand-built fault error outcome, a figure run and a crash
+    sweep point.
+    """
+    from repro.faults.models import fault_from_dict
+    from repro.faults.sweep import (FaultOutcome, FaultSpec,
+                                    execute_fault_point)
+    from repro.harness.campaign import CrashSpec, execute_crash_point
+    from repro.harness.runner import RunSpec, run_spec
+
+    def litmus(kind):
+        def outcome():
+            out = execute_litmus_point(_codec_points()[kind])
+            assert bool(out.error) == (kind == "error")
+            return out
+        return outcome
+
+    def fault(kind, design, storm):
+        def outcome():
+            out = execute_fault_point(FaultSpec(
+                design=design, workload="hash",
+                fault=fault_from_dict({"kind": kind}).to_dict(),
+                crash_cycle=8_000, workload_kw={"n_buckets": 32},
+                checksums=True, storm=storm,
+            ))
+            if design is Design.ATOM_OPT:
+                assert out.recovery_cost["per_controller"]
+            return out
+        return outcome
+
+    cases = {kind: litmus(kind) for kind in _codec_points()}
+    cases.update({
+        "fault-multi-storm": fault("correlated-loss+torn-data-write",
+                                   Design.ATOM_OPT, 3),
+        "fault-media": fault("torn-data-write", Design.REDO, None),
+        "fault-inapplicable": fault("torn-log-write", Design.REDO, None),
+        "fault-error": lambda: FaultOutcome(
+            spec=FaultSpec(design=Design.BASE, workload="rbtree",
+                           fault={"kind": "bit-rot", "rate": 0.5},
+                           crash_cycle=1, workload_kw={"deep": {"k": [1]}}),
+            ok=False, error="WorkloadError: boom", detail="d",
+        ),
+        "run": lambda: run_spec(RunSpec(
+            design=Design.ATOM_OPT, workload="hash", num_cores=4,
+            txns_per_thread=4, warmup_per_thread=1, initial_items=8,
+        )),
+        "crash-sweep": lambda: execute_crash_point(CrashSpec(
+            design=Design.ATOM_OPT, workload="hash", crash_cycle=8_000,
+        )),
+    })
+    return cases
+
+
+class TestOutcomeCodec:
+    """Drift guard for the one outcome codec, over every point kind.
+
+    A cache payload (``encode_outcome``, bound as ``result_to_dict``)
+    must serialise exactly as ``dataclasses.asdict`` with the spec's
+    design by value did, key order included, so cache entries and
+    artifacts stay byte-identical.  Read back from JSON and decoded
+    against the submitted spec (``decode_outcome``), it must equal the
+    outcome.  A spec or outcome field the codec mishandles fails here.
     """
 
-    @pytest.mark.parametrize("kind", ["probe", "crash", "fault", "storm",
-                                      "error"])
+    @pytest.mark.parametrize("kind", list(_codec_outcomes()))
     def test_payload_matches_asdict_and_roundtrips(self, kind):
         import dataclasses
         import json
 
-        from repro.litmus.explorer import (_outcome_from_dict,
-                                           _outcome_to_dict)
+        from repro.harness.cache import decode_outcome, encode_outcome
 
-        out = execute_litmus_point(_codec_points()[kind])
-        assert bool(out.error) == (kind == "error")
+        out = _codec_outcomes()[kind]()
+        spec_field = dataclasses.fields(out)[0].name
+        spec = getattr(out, spec_field)
         reference = dataclasses.asdict(out)
-        reference["point"]["design"] = out.point.design.value
-        payload = _outcome_to_dict(out)
+        reference[spec_field]["design"] = spec.design.value
+        payload = encode_outcome(out)
         assert json.dumps(payload) == json.dumps(reference)
-        assert _outcome_from_dict(payload) == out
+        decoded = decode_outcome(type(out), json.loads(json.dumps(payload)),
+                                 spec)
+        assert decoded == out
 
 
 class TestCrashWindowCoverage:

@@ -19,11 +19,12 @@ import pytest
 
 from repro.faults.models import fault_from_dict
 from repro.harness import campaign as campaign_mod
+from repro.harness.cache import encode_outcome
 from repro.harness.campaign import Campaign
 from repro.litmus.catalog import CATALOG
 from repro.litmus.explorer import (DEFAULT_CRASH_START, LITMUS_DESIGNS,
-                                   LitmusPoint, _outcome_to_dict,
-                                   execute_litmus_point, explore)
+                                   LitmusPoint, execute_litmus_point,
+                                   explore)
 
 #: Far past every program's end: the cut lands on the finished machine.
 PAST_THE_END = 10_000_000
@@ -39,7 +40,7 @@ def fresh_live_run():
 
 def per_point(point: LitmusPoint) -> dict:
     """The point on a machine of its own, cut by ``System.crash``."""
-    return _outcome_to_dict(
+    return encode_outcome(
         execute_litmus_point(point, instrument=lambda system: None)
     )
 
@@ -49,7 +50,7 @@ def on_the_live_run(point: LitmusPoint) -> dict:
     if not outcome.error:
         assert campaign_mod._live.key == dataclasses.replace(
             point, crash_cycle=None, storm=None)
-    return _outcome_to_dict(outcome)
+    return encode_outcome(outcome)
 
 
 @pytest.mark.parametrize("design", LITMUS_DESIGNS, ids=lambda d: d.value)

@@ -33,15 +33,13 @@ import pytest
 
 from repro.config import Design
 from repro.faults.models import TornLogWrite, default_fault_models
-from repro.faults.sweep import _outcome_to_dict as fault_payload
 from repro.faults.sweep import execute_fault_point, fault_grid
 from repro.harness import campaign as campaign_mod
-from repro.harness.campaign import (CRASH_DESIGNS, _crash_outcome_dict,
-                                    crash_grid, execute_crash_point)
+from repro.harness.cache import encode_outcome
+from repro.harness.campaign import (CRASH_DESIGNS, crash_grid,
+                                    execute_crash_point)
 from repro.litmus.catalog import CATALOG
-from repro.litmus.explorer import LitmusPoint
-from repro.litmus.explorer import _outcome_to_dict as litmus_payload
-from repro.litmus.explorer import execute_litmus_point
+from repro.litmus.explorer import LitmusPoint, execute_litmus_point
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_recovered.json"
 
@@ -70,12 +68,12 @@ def _points():
     for spec in faults:
         key = (f"fault/{spec.design.value}/{spec.workload}/"
                f"{spec.fault['kind']}/{spec.crash_cycle}")
-        yield key, lambda spec=spec: fault_payload(execute_fault_point(spec))
+        yield key, lambda spec=spec: encode_outcome(execute_fault_point(spec))
     crashes = crash_grid(designs=CRASH_DESIGNS, workloads=["queue"],
                          crash_cycles=(4_000, 11_000, 18_000))
     for spec in crashes:
         key = f"crash/{spec.design.value}/{spec.workload}/{spec.crash_cycle}"
-        yield key, lambda spec=spec: _crash_outcome_dict(
+        yield key, lambda spec=spec: encode_outcome(
             execute_crash_point(spec))
     by_name = {test.name: test for test in CATALOG}
     for name, design, fault, storm in LITMUS_CELLS:
@@ -88,7 +86,7 @@ def _points():
                                         fault=fault, storm=storm)
             key = (f"litmus/{name}/{design.value}/"
                    f"{fault['kind'] if fault else 'plain'}/{cycle}")
-            yield key, lambda point=point: litmus_payload(
+            yield key, lambda point=point: encode_outcome(
                 execute_litmus_point(point))
 
 
