@@ -133,9 +133,21 @@ def deserialize(blob: bytes) -> list[AdrAusImage]:
     return images
 
 
+def flush_blob(logm, truncating=()) -> bytes:
+    """The block one controller's ADR flush would write at this instant.
+
+    ``truncating`` names cores whose commit broadcast had truncated
+    their log on some controller at the cut.  Their AUS here packs as
+    cleared — what ``LogManager.force_truncate`` leaves behind in
+    ``crash()`` — without this LogM's own state changing.
+    """
+    cleared = {logm.slot_of(core) for core in truncating}
+    return serialize(logm.aus, logm.cfg.buckets_per_controller, cleared)
+
+
 def flush_on_power_failure(logm, image, layout, *,
                            max_lines: int | None = None,
-                           truncating=()) -> bytes:
+                           truncating=(), blob: bytes | None = None) -> bytes:
     """Write one controller's critical structures to its ADR block.
 
     Called by ``System.crash()`` and ``System.power_cut()``; models the
@@ -146,13 +158,11 @@ def flush_on_power_failure(logm, image, layout, *,
     its stale contents.  Returns the *full* serialized blob either way,
     so callers can tell whether the budget actually truncated anything.
 
-    ``truncating`` names cores whose commit broadcast had truncated
-    their log on some controller at the cut.  Their AUS here packs as
-    cleared — what ``LogManager.force_truncate`` leaves behind in
-    ``crash()`` — without this LogM's own state changing.
+    The block is :func:`flush_blob` of ``logm`` and ``truncating``;
+    ``blob`` is that block when the caller has already made it.
     """
-    cleared = {logm.slot_of(core) for core in truncating}
-    blob = serialize(logm.aus, logm.cfg.buckets_per_controller, cleared)
+    if blob is None:
+        blob = flush_blob(logm, truncating)
     base = layout.adr_base(logm.mc.mc_id)
     if len(blob) > layout.adr_block_bytes:
         raise RecoveryError(

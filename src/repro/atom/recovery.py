@@ -60,12 +60,12 @@ from dataclasses import dataclass, field
 
 from repro.atom import adr
 from repro.atom.record import RecordHeader
-from repro.common.errors import RecoveryError
+from repro.common.errors import MemoryError_, RecoveryError
 from repro.common.units import CACHE_LINE_BYTES
 from repro.config import LogConfig, MemoryConfig
 from repro.faults.analytics import ControllerCost, RecoveryCost, adr_block_lines
 from repro.mem.image import MemoryImage
-from repro.mem.layout import AddressLayout, RecordAddress
+from repro.mem.layout import AddressLayout
 
 
 @dataclass
@@ -328,8 +328,8 @@ def _recover_controller(
         if records:
             report.updates_rolled_back += 1
             # Undo newest-first: descending sequence order.
-            for rec_addr, header in sorted(records, key=lambda r: -r[1].seq):
-                if _undo_record(writes, layout, rec_addr, header, ctl,
+            for rec_base, header in sorted(records, key=lambda r: -r[1].seq):
+                if _undo_record(writes, layout, rec_base, header, ctl,
                                 report):
                     contained = True
                 report.records_undone += 1
@@ -360,24 +360,32 @@ def _collect_records(
     aus: adr.AdrAusImage,
     ctl: ControllerCost,
     report: RecoveryReport,
-) -> list[tuple[RecordAddress, RecordHeader]]:
-    """Gather the valid records of one incomplete update, in write order."""
+) -> list[tuple[int, RecordHeader]]:
+    """Gather the valid records of one incomplete update, in write order.
+
+    Returns ``(record base address, header)`` per record.  Each bucket's
+    base is taken once, when its first header is read
+    (``layout.bucket_base`` range-checks the controller and bucket);
+    its records follow every ``record_bytes``, each with its header on
+    its last line.
+    """
     cfg = layout.log
     if aus.update_start_seq is None:
         return []  # the update never created a record
     start_seq = aus.update_start_seq
+    header_offset = cfg.entries_per_record * CACHE_LINE_BYTES
+    bases: dict[int, int] = {}
     # Bucket allocation order: full buckets sorted by their first valid
     # record's sequence stamp, the current bucket last.
     full_buckets: list[tuple[int, int]] = []  # (first_seq, bucket)
     for bucket in aus.bucket_vec.iter_ones():
         if bucket == aus.current_bucket:
             continue
-        header = _read_header(image, layout, controller, bucket, 0, ctl)
+        base = bases[bucket] = layout.bucket_base(controller, bucket)
+        header = _read_header(image, base + header_offset, ctl)
         if header.valid and not header.checksum_ok:
             ctl.checksum_rejected += 1
-            report.corrupt_lines.append(
-                layout.record_header_addr(RecordAddress(controller, bucket, 0))
-            )
+            report.corrupt_lines.append(base + header_offset)
             continue
         if (
             header.trustworthy
@@ -392,11 +400,16 @@ def _collect_records(
     if aus.current_bucket is not None:
         ordered.append((aus.current_bucket, aus.current_record))
 
-    accepted: list[tuple[RecordAddress, RecordHeader]] = []
+    accepted: list[tuple[int, RecordHeader]] = []
     last_seq = start_seq - 1
     for bucket, limit in ordered:
+        rec_base = bases.get(bucket)
         for index in range(limit):
-            header = _read_header(image, layout, controller, bucket, index, ctl)
+            if index >= cfg.records_per_bucket:
+                raise MemoryError_(f"record {index} out of range")
+            if rec_base is None:
+                rec_base = layout.bucket_base(controller, bucket)
+            header = _read_header(image, rec_base + header_offset, ctl)
             if not header.valid:
                 return accepted  # prefix ends at the first invalid header
             if not header.checksum_ok:
@@ -406,11 +419,7 @@ def _collect_records(
                 # writes were gated on this very header — so stopping
                 # the prefix here is safe; the point is that we *know*.
                 ctl.checksum_rejected += 1
-                report.corrupt_lines.append(
-                    layout.record_header_addr(
-                        RecordAddress(controller, bucket, index)
-                    )
-                )
+                report.corrupt_lines.append(rec_base + header_offset)
                 return accepted
             if header.owner != aus.slot or header.seq <= last_seq:
                 # Stale header: left in a reallocated bucket by an
@@ -420,22 +429,15 @@ def _collect_records(
                 ctl.stale_rejected += 1
                 return accepted
             last_seq = header.seq
-            accepted.append(
-                (RecordAddress(controller, bucket, index), header)
-            )
+            accepted.append((rec_base, header))
+            rec_base += cfg.record_bytes
     return accepted
 
 
-def _read_header(
-    image: MemoryImage,
-    layout: AddressLayout,
-    controller: int,
-    bucket: int,
-    index: int,
-    ctl: ControllerCost,
-) -> RecordHeader:
-    rec = RecordAddress(controller, bucket, index)
-    line = image.durable_read(layout.record_header_addr(rec), CACHE_LINE_BYTES)
+def _read_header(image: MemoryImage, addr: int,
+                 ctl: ControllerCost) -> RecordHeader:
+    """Decode the record header line at ``addr``."""
+    line = image.durable_read(addr, CACHE_LINE_BYTES)
     ctl.headers_scanned += 1
     return RecordHeader.decode(line)
 
@@ -443,16 +445,17 @@ def _read_header(
 def _undo_record(
     writes: PassWrites,
     layout: AddressLayout,
-    rec_addr: RecordAddress,
+    rec_base: int,
     header: RecordHeader,
     ctl: ControllerCost,
     report: RecoveryReport,
 ) -> bool:
     """Write each entry's old value back over its data line.
 
-    Entries within one record are undone in reverse order too, so a line
-    collated twice into the same record still converges to the older
-    value.
+    ``rec_base`` is the record's base address; entry ``slot`` is its
+    line ``slot``.  Entries within one record are undone in reverse
+    order too, so a line collated twice into the same record still
+    converges to the older value.
 
     With the checksum plane enabled each entry's payload line is
     verified before it is restored: undoing from a rotten entry would
@@ -463,9 +466,11 @@ def _undo_record(
     """
     image = writes.image
     skipped = False
+    if header.count > layout.log.entries_per_record:
+        raise MemoryError_(f"entry slot {header.count - 1} out of range")
     for slot in range(header.count - 1, -1, -1):
         data_addr = header.addresses[slot]
-        entry_addr = layout.record_entry_addr(rec_addr, slot)
+        entry_addr = rec_base + slot * CACHE_LINE_BYTES
         payload = image.durable_read(entry_addr, CACHE_LINE_BYTES)
         ctl.entries_read += 1
         if image.line_checksums and not image.verify_line(entry_addr):

@@ -69,19 +69,33 @@ def code_fingerprint() -> str:
     return digest.hexdigest()[:16]
 
 
-def canonicalize(value: object) -> object:
-    """Reduce a spec value to deterministic JSON-encodable primitives."""
+def canonicalize(value: object, memo: dict | None = None) -> object:
+    """Reduce a spec value to deterministic JSON-encodable primitives.
+
+    ``memo`` (a dict the caller keeps for a batch of specs) makes each
+    distinct dict of the batch canonicalise once: specs that share one,
+    such as the ``test`` encoding of every point of a litmus test, reuse
+    its canonical form.  A dict is known by its identity, so it must not
+    change while the memo lives.
+    """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
-            f.name: canonicalize(getattr(value, f.name))
+            f.name: canonicalize(getattr(value, f.name), memo)
             for f in dataclasses.fields(value)
         }
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, dict):
-        return {str(k): canonicalize(v) for k, v in sorted(value.items())}
+        if memo is not None:
+            seen = memo.get(id(value))
+            if seen is not None and seen[0] is value:
+                return seen[1]
+        out = {str(k): canonicalize(v, memo) for k, v in sorted(value.items())}
+        if memo is not None:
+            memo[id(value)] = (value, out)
+        return out
     if isinstance(value, (list, tuple)):
-        return [canonicalize(v) for v in value]
+        return [canonicalize(v, memo) for v in value]
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     raise TypeError(f"cannot canonicalize {type(value).__name__}: {value!r}")
@@ -124,21 +138,30 @@ def decode_outcome(outcome_type: type, payload: dict, spec: object):
     return outcome_type(**{**payload, _field_names(outcome_type)[0]: spec})
 
 
-def spec_key(spec: object, kind: str = "run") -> str:
-    """Stable content hash of ``(kind, spec, simulator code)``."""
+def spec_key(spec: object, kind: str = "run", memo: dict | None = None) -> str:
+    """Stable content hash of ``(kind, spec, simulator code)``.
+
+    ``memo`` is :func:`canonicalize`'s, shared across a batch's keys.
+    """
     payload = {
         "kind": kind,
         "code": code_fingerprint(),
-        "spec": canonicalize(spec),
+        "spec": canonicalize(spec, memo),
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return _sha256(_canonical_json(payload))
+
+
+def _canonical_json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def payload_digest(payload: dict) -> str:
     """Canonical SHA-256 of a payload (the entry's integrity checksum)."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return _sha256(_canonical_json(payload))
 
 
 class ResultCache:
@@ -155,6 +178,8 @@ class ResultCache:
         #: ``get`` misses, every ``put`` is a no-op) rather than killing
         #: the campaign over a full disk.
         self.disabled = False
+        #: Shard directories this instance has made (see :meth:`put`).
+        self._shards: set[Path] = set()
         self._reap_stale_tmps()
 
     def _reap_stale_tmps(self) -> None:
@@ -208,6 +233,11 @@ class ResultCache:
     def put(self, key: str, payload: dict) -> None:
         """Store a payload atomically (rename, never a partial file).
 
+        The payload is serialised once: its canonical JSON is both what
+        the checksum hashes and the entry's payload text, which ``get``
+        parses and re-hashes to the same digest.  Each shard directory
+        is made once per instance, and again if it has vanished since.
+
         A write failure (``ENOSPC``, permissions, a file squatting on
         the directory path) cleans up its temp file and degrades the
         cache to off with one warning — campaigns outlive sick disks.
@@ -216,20 +246,28 @@ class ResultCache:
             return
         path = self.path_for(key)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        blob = _canonical_json(payload)
+        text = f'{{"payload": {blob}, "sha256": "{_sha256(blob)}"}}'
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(
-                {"sha256": payload_digest(payload), "payload": payload},
-                sort_keys=True,
-            ))
-            os.replace(tmp, path)
+            try:
+                self._write(path, tmp, text)
+            except FileNotFoundError:
+                self._shards.discard(path.parent)
+                self._write(path, tmp, text)
         except OSError as exc:
             self._degrade(f"write failed ({exc})")
-        finally:
             try:
                 tmp.unlink(missing_ok=True)
             except OSError:
                 pass
+
+    def _write(self, path: Path, tmp: Path, text: str) -> None:
+        shard = path.parent
+        if shard not in self._shards:
+            shard.mkdir(parents=True, exist_ok=True)
+            self._shards.add(shard)
+        tmp.write_text(text)
+        os.replace(tmp, path)
 
     def wipe(self) -> int:
         """Delete every cached entry; returns the number removed."""

@@ -5,13 +5,19 @@ For every (litmus test × design × seed) cell the explorer
 1. runs one **probe** point (no injected crash: run to completion, cut
    power, recover) to learn the program's finish cycle,
 2. enumerates a crash grid over ``[crash_start, finish)`` and runs each
-   point: cut power mid-flight and run recovery (the cell's program is
-   simulated once, and each point recovers a power cut that the
-   running machine survives — see :func:`execute_litmus_point`),
+   point: cut power mid-flight and run recovery.  The cell's program
+   is simulated once, and each point recovers a power cut that the
+   running machine survives.  Recovery runs once per distinct cut: a
+   point whose cut would equal the previous point's (no durable write
+   since, the same ADR blocks and REDO commit log, under the same
+   storm seed and commit count) takes that point's checked outcome
+   with its own point, finish cycle and crash windows, so a cell costs
+   its distinct durable states rather than its grid density (see
+   :func:`execute_litmus_point`),
 3. extracts the recovered values of the spec's symbolic variables from
    the durable image and dedups recovered states by content digest,
-4. re-runs recovery and checks the durable image digest is unchanged
-   (recovery idempotence — the paper's step-4 claim), and
+4. re-runs recovery and checks that the second pass changed no durable
+   line (recovery idempotence — the paper's step-4 claim), and
 5. classifies every distinct state against the spec's postconditions.
 
 Points go through :meth:`repro.harness.campaign.Campaign.run_litmus`,
@@ -33,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.common.errors import ReproError
 from repro.config import Design
@@ -104,11 +111,14 @@ def execute_litmus_point(point: LitmusPoint, *,
     this process's live run of its (test, design, seed, fault) cell
     (:func:`repro.harness.campaign.cut_point`), so a cell's points
     submitted in ascending crash-cycle order simulate its program once
-    whatever their storm seed.  A fault cell's run carries the fault
-    taps (:class:`~repro.faults.models.FaultTaps`) and each point
-    applies a fresh injector to its cut.  A traced point builds its own
-    machine and cuts power destructively (``System.crash``) so its
-    tracer sees the cut.
+    whatever their storm seed.  A plain point whose cut would equal the
+    previous point's, under the same storm seed, is not cut: it takes
+    that point's outcome restamped with its own point, finish cycle and
+    crash windows (:func:`_restamped_outcome`).  A fault cell's run
+    carries the fault taps (:class:`~repro.faults.models.FaultTaps`)
+    and each point applies a fresh injector to its cut.  A traced point
+    builds its own machine and cuts power destructively
+    (``System.crash``) so its tracer sees the cut.
 
     A modelled-hardware failure (deadlock, invariant violation, workload
     inconsistency) is an *outcome*, recorded in ``error`` — the explorer
@@ -152,6 +162,7 @@ def execute_litmus_point(point: LitmusPoint, *,
             return cut_point(
                 dataclasses.replace(point, crash_cycle=None, storm=None),
                 point.crash_cycle, start, check, injector=injector,
+                restamp=partial(_restamped_outcome, point), storm=point.storm,
             )
         system, workload, max_cycles = start()
         if injector is not None:
@@ -202,6 +213,20 @@ def _recovered_outcome(point: LitmusPoint, system, workload, cut,
         idempotent=idempotent,
         recovery_cost=report.cost.to_dict(),
         windows=list(system.crash_windows if cut is None else cut.windows),
+    )
+
+
+def _restamped_outcome(point: LitmusPoint, system,
+                       outcome: LitmusOutcome) -> LitmusOutcome:
+    """``point``'s outcome, whose cut equals that of ``outcome``.
+
+    The recovered state, its digest and the recovery verdicts are the
+    cut's; the point, the finish cycle and the crash windows the
+    machine is inside are the point's own.
+    """
+    return dataclasses.replace(
+        outcome, point=point, finish=system.engine.now,
+        windows=system.sample_crash_windows(),
     )
 
 

@@ -240,6 +240,10 @@ class MemoryImage:
         #: page -> 64-bit mask of the durable lines ever written in it:
         #: any line whose bit is clear is all-zero in the durable plane.
         self._dur_lines: dict[int, int] = {}
+        #: Writes to the durable plane so far (:meth:`persist` and
+        #: :meth:`damage`): while it stands still, the plane, its page
+        #: masks and the checksum plane have not moved.
+        self.durable_writes = 0
 
     # -- bounds -----------------------------------------------------------
 
@@ -329,6 +333,7 @@ class MemoryImage:
         if addr < 0 or addr + size > self.size_bytes:
             self._check(addr, size)
         self._durable[addr : addr + size] = data
+        self.durable_writes += 1
         first = addr & _LINE_MASK
         last = (addr + size - 1) & _LINE_MASK
         if first == last:
@@ -387,6 +392,7 @@ class MemoryImage:
             self._check(addr, size)
         changed = self._dur_view[addr : addr + size] != data
         self._durable[addr : addr + size] = data
+        self.durable_writes += 1
         first = addr & _LINE_MASK
         last = (addr + size - 1) & _LINE_MASK
         _mark_lines(self._dur_lines, first, last)

@@ -398,7 +398,23 @@ class System:
         if inj is not None:
             inj.after_crash(self.image)
 
-    def power_cut(self, injector=None) -> PowerCut:
+    def adr_blobs(self) -> tuple[bytes, ...]:
+        """The block each LogM's ADR flush would write now.
+
+        One per controller with a LogM, in controller order, as
+        :meth:`power_cut` flushes them: the slots of partially broadcast
+        commits pack as truncated.
+        """
+        truncating = self._truncating_cores()
+        return tuple(adr_mod.flush_blob(mc.logm, truncating)
+                     for mc in self.controllers if mc.logm is not None)
+
+    def _truncating_cores(self) -> list[int]:
+        """Cores whose commit broadcast has truncated some controller."""
+        return [core_id for core_id, intent in self._commit_intents.items()
+                if intent["cleared"]]
+
+    def power_cut(self, injector=None, adr=None) -> PowerCut:
         """Power failure *now*, as a copy: the machine runs on untouched.
 
         Returns what :meth:`crash` would leave for recovery.  The cut
@@ -419,12 +435,16 @@ class System:
         post-crash damage.  The machine must carry the fault taps the
         injector reads.  The tracer is not consulted: traced points
         keep :meth:`crash`.
+
+        ``adr`` is :meth:`adr_blobs` of this instant when the caller has
+        made it already.  What the cut copies is what
+        ``repro.harness.campaign._cut_signature`` compares to tell that
+        two instants leave recovery equal cuts: keep the two in step.
         """
         if injector is not None:
             injector.bind(self)
         image = self.image.durable_copy()
-        truncating = [core_id for core_id, intent
-                      in self._commit_intents.items() if intent["cleared"]]
+        truncating = self._truncating_cores()
         if injector is not None:
             for mc in self.controllers:
                 if injector.wants_drain() and \
@@ -437,7 +457,7 @@ class System:
                     injector.note_controller_dropped(
                         mc.mc_id, mc.pending_requests())
             injector.at_power_failure(image)
-        self._flush_adr(image, injector, truncating)
+        self._flush_adr(image, injector, truncating, adr)
         cut = PowerCut(image=image, windows=self.sample_crash_windows())
         if self.redo is not None:
             cut.commit_order, cut.applied = self.redo.durable_log()
@@ -445,22 +465,25 @@ class System:
             injector.after_crash(image)
         return cut
 
-    def _flush_adr(self, image, inj, truncating=()) -> list[tuple[int, int]]:
+    def _flush_adr(self, image, inj, truncating=(),
+                   blobs=None) -> list[tuple[int, int]]:
         """The ADR window: flush each LogM's critical structures.
 
         Writes each block into ``image`` through the flush both
         :meth:`crash` and :meth:`power_cut` use, within the fault
-        injector's line budget when ``inj`` sets one.  Returns
+        injector's line budget when ``inj`` sets one.  ``blobs`` are
+        the blocks (:meth:`adr_blobs`) when already made.  Returns
         ``(mc_id, block bytes)`` per flushed controller.
         """
         flushed = []
+        blobs = iter(blobs or ())
         for mc in self.controllers:
             if mc.logm is None:
                 continue
             budget = inj.adr_budget_lines(mc.mc_id) if inj else None
             blob = adr_mod.flush_on_power_failure(
                 mc.logm, image, self.layout, max_lines=budget,
-                truncating=truncating,
+                truncating=truncating, blob=next(blobs, None),
             )
             if budget is not None and len(blob) > budget * CACHE_LINE_BYTES:
                 inj.note_adr_truncated(mc.mc_id)

@@ -1,5 +1,6 @@
 """ADR serialization and the recovery routine's record-acceptance rules."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -7,6 +8,7 @@ from helpers import build_system
 from repro.atom import adr, recovery
 from repro.atom.aus import AusState
 from repro.atom.record import FLAG_VALID, RecordHeader
+from repro.common.errors import MemoryError_
 from repro.common.units import CACHE_LINE_BYTES
 from repro.mem.layout import RecordAddress
 
@@ -195,3 +197,52 @@ class TestRecoveryAcceptance:
                                   system.config.log)
         assert report.updates_rolled_back == 0
         assert report.controllers_with_state == 0
+
+    def test_walk_steps_through_a_full_bucket_into_the_current_one(
+            self, system):
+        """Records are found by stepping from each bucket's base: every
+        record of a full bucket, then the current bucket's prefix."""
+        per_bucket = system.config.log.records_per_bucket
+        logm = system.controllers[0].logm
+        logm.begin(0, 0)
+        state = logm.aus[0]
+        state.bucket_vec.set(2)
+        state.bucket_vec.set(5)
+        state.current_bucket = 5
+        state.current_record = 2
+        state.update_start_seq = 10
+        records = ([RecordAddress(0, 2, i) for i in range(per_bucket)]
+                   + [RecordAddress(0, 5, 0), RecordAddress(0, 5, 1)])
+        for i, rec in enumerate(records):
+            line = 0x1000 + i * CACHE_LINE_BYTES
+            system.image.persist(line, b"\xFF" * CACHE_LINE_BYTES)
+            write_record(system, rec, owner=0, seq=10 + i, addresses=[line],
+                         payloads=[bytes([i + 1]) * CACHE_LINE_BYTES])
+        flush_adr(system)
+        report = recovery.recover(system.image, system.layout,
+                                  system.config.log)
+        assert report.records_undone == len(records)
+        for i in range(len(records)):
+            line = 0x1000 + i * CACHE_LINE_BYTES
+            assert system.image.durable_read(line, CACHE_LINE_BYTES) == \
+                bytes([i + 1]) * CACHE_LINE_BYTES
+
+    def test_current_record_past_the_bucket_is_out_of_range(self, system):
+        """A register naming more records than a bucket holds fails the
+        walk with the layout's range error once it gets there."""
+        per_bucket = system.config.log.records_per_bucket
+        logm = system.controllers[0].logm
+        logm.begin(0, 0)
+        state = logm.aus[0]
+        state.bucket_vec.set(0)
+        state.current_bucket = 0
+        state.current_record = per_bucket + 1
+        state.update_start_seq = 0
+        for i in range(per_bucket):
+            write_record(system, RecordAddress(0, 0, i), owner=0, seq=i,
+                         addresses=[0x1000],
+                         payloads=[b"\x0C" * CACHE_LINE_BYTES])
+        flush_adr(system)
+        with pytest.raises(MemoryError_, match=f"record {per_bucket} out "
+                                               f"of range"):
+            recovery.recover(system.image, system.layout, system.config.log)

@@ -64,6 +64,52 @@ class TestSpecKey:
         with pytest.raises(TypeError):
             canonicalize(object())
 
+    def test_batch_memo_keeps_the_keys_byte_identical(self, monkeypatch):
+        """Keys made with one memo per batch (each distinct dict
+        canonicalised once) equal keys computed without it, which are
+        pinned as the code before the memo computed them."""
+        from repro.faults.sweep import FaultSpec
+        from repro.harness import cache as cache_mod
+        from repro.litmus.explorer import LitmusPoint
+
+        monkeypatch.setattr(cache_mod, "code_fingerprint", lambda: "0" * 16)
+        test = {"name": "pinned", "vars": {"y": {"line": 1}, "x": {"line": 0}},
+                "threads": [[["store", "x", 1], ["store", "y", 2]]],
+                "forbidden": ["x == 1 and y == 0"], "max_cycles": 100000}
+        pinned = [
+            ("litmus", LitmusPoint(test=test, design=Design.ATOM,
+                                   crash_cycle=None),
+             "613937fd5860f4264145fd69b85ac16d5ddfdd27f92364eabd4fbdce394173f6"),
+            ("litmus", LitmusPoint(test=test, design=Design.ATOM,
+                                   crash_cycle=812, storm=3),
+             "609509d36cee97c6a4584d4bdb5a18a54848c9d80580b43197d0c93239639ad7"),
+            ("litmus", LitmusPoint(test=test, design=Design.REDO,
+                                   crash_cycle=50,
+                                   fault={"kind": "torn-log-write"}),
+             "cb0d4aef3da3c8ad041bbaee42eb1b50d87797c0475fb4414913c51172eaa0ef"),
+            ("crash", CrashSpec(design=Design.ATOM_OPT, workload="hash",
+                                crash_cycle=8000),
+             "861c0877886ca48dbf5ea0d17f77127ac07c9c89a70fc84ba832245d6978d4a5"),
+            ("fault", FaultSpec(design=Design.BASE, workload="hash",
+                                fault={"kind": "bit-rot", "lines": 2},
+                                crash_cycle=6000, checksums=True, storm=7),
+             "d0f2f6f424f1bfcdad599032e01173789a64e9858fa8872c27c8ca05fdb8ec5e"),
+            ("run", TINY,
+             "379b2acddff47e87b772553d4ac90b3e28ba5f4dcacaf08c6dc91d041bcb50df"),
+        ]
+        memo: dict = {}
+        for kind, spec, key in pinned * 2:
+            assert spec_key(spec, kind) == key
+            assert spec_key(spec, kind, memo=memo) == key
+        # Each distinct dict is canonicalised once: the shared test
+        # encoding, its nested dicts and the specs' own dicts.
+        assert sum(entry[0] is test for entry in memo.values()) == 1
+        # A dict is known by identity: an equal copy is canonicalised
+        # afresh and keys the same.
+        copy = LitmusPoint(test=json.loads(json.dumps(test)),
+                           design=Design.ATOM, crash_cycle=None)
+        assert spec_key(copy, "litmus", memo=memo) == pinned[0][2]
+
 
 class TestResultCache:
     def test_get_miss_then_put_then_hit(self, cache):
@@ -132,6 +178,51 @@ class TestResultCache:
     def test_put_tmp_files_never_linger(self, cache):
         cache.put("ab" * 32, {"x": 1})
         assert not list(cache.root.rglob("*.tmp.*"))
+
+    def test_put_writes_the_blob_its_checksum_hashed(self, cache):
+        key, payload = "ab" * 32, {"b": [1, 2.5, "é"], "a": {"z": None}}
+        cache.put(key, payload)
+        text = cache.path_for(key).read_text()
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert text.startswith(f'{{"payload": {blob}, "sha256": ')
+        assert json.loads(text)["sha256"] == payload_digest(payload)
+        assert cache.get(key) == payload
+
+    def test_get_reads_entries_in_the_earlier_layout(self, cache):
+        # Before one serialisation per put, entries held the payload in
+        # json.dumps' default layout.
+        key, payload = "cd" * 32, {"x": [1, {"y": 2}]}
+        cache.path_for(key).parent.mkdir(parents=True)
+        cache.path_for(key).write_text(json.dumps(
+            {"sha256": payload_digest(payload), "payload": payload},
+            sort_keys=True))
+        assert cache.get(key) == payload
+        assert cache.corrupt_evictions == 0
+
+    def test_each_shard_is_made_once_and_again_if_it_vanished(
+            self, cache, monkeypatch):
+        import shutil
+        from pathlib import Path
+
+        cache.root.mkdir()
+        made = []
+        mkdir = Path.mkdir
+
+        def counted(self, *args, **kwargs):
+            made.append(self.name)
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counted)
+        cache.put("ab" + "0" * 62, {"x": 1})
+        cache.put("ab" + "1" * 62, {"x": 2})
+        cache.put("cd" + "0" * 62, {"x": 3})
+        assert made == ["ab", "cd"]
+        shutil.rmtree(cache.root / "ab")
+        cache.put("ab" + "2" * 62, {"x": 4})
+        assert made == ["ab", "cd", "ab"]
+        assert not cache.disabled
+        assert cache.get("ab" + "2" * 62) == {"x": 4}
+        assert cache.get("cd" + "0" * 62) == {"x": 3}
 
 
 class TestCampaignCache:

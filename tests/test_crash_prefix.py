@@ -44,15 +44,26 @@ def fresh_live_run():
 
 @pytest.fixture
 def digests(monkeypatch):
-    """Make each point report its cut's post-recovery durable digest."""
-    original = campaign_mod._crash_cut_outcome
+    """Make each point report its cut's post-recovery durable digest.
+
+    A point whose cut equals the previous point's is not cut again: it
+    reports the digest of the point whose outcome it reuses.
+    """
+    checked, restamped = (campaign_mod._crash_cut_outcome,
+                          campaign_mod._crash_restamp)
 
     def with_digest(spec, system, workload, cut):
-        outcome = original(spec, system, workload, cut)
+        outcome = checked(spec, system, workload, cut)
         outcome.digest = cut.image.durable_digest()
         return outcome
 
+    def reused_digest(spec, system, outcome):
+        again = restamped(spec, system, outcome)
+        again.digest = outcome.digest
+        return again
+
     monkeypatch.setattr(campaign_mod, "_crash_cut_outcome", with_digest)
+    monkeypatch.setattr(campaign_mod, "_crash_restamp", reused_digest)
 
 
 def independent(spec: CrashSpec) -> tuple[CrashOutcome, str | None, int]:

@@ -95,17 +95,29 @@ def recovered_digests(monkeypatch) -> dict[str, str]:
 
     A point's digest covers its outcome payload and the durable digest
     of its cut image after the point's checks (``None`` for a point
-    that cut no power, such as an inapplicable fault model).
+    that cut no power, such as an inapplicable fault model).  A point
+    whose cut equals the previous point's reuses that point's outcome
+    without a cut, and is pinned with that point's cut digest.
     """
     cut_digests: list[str] = []
+    last_digest = [None]
     original = campaign_mod.cut_point
 
-    def recording(key, cycle, start, check, injector=None):
+    def recording(key, cycle, start, check, injector=None, restamp=None,
+                  storm=None):
         def checked(system, workload, cut):
             outcome = check(system, workload, cut)
-            cut_digests.append(cut.image.durable_digest())
+            last_digest[0] = cut.image.durable_digest()
+            cut_digests.append(last_digest[0])
             return outcome
-        return original(key, cycle, start, checked, injector)
+
+        def reused(system, outcome):
+            cut_digests.append(last_digest[0])
+            return restamp(system, outcome)
+
+        return original(key, cycle, start, checked, injector,
+                        restamp=reused if restamp is not None else None,
+                        storm=storm)
 
     monkeypatch.setattr(campaign_mod, "cut_point", recording)
     campaign_mod._drop_live_run()
